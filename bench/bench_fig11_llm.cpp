@@ -41,5 +41,36 @@ int main(int argc, char** argv) {
   }
   std::printf("\nexpected shape: parlooper <= hf-sub latency; bf16 helps the "
               "compute-bound first token most; next-token << first-token.\n");
+
+  // Next-token cost vs visible KV-cache length: one decoder layer decoding
+  // at a short and a long position over the same filled cache. Position
+  // 399 attends to 8x more cache rows than 49.
+  {
+    dl::LlmConfig cfg = dl::LlmConfig::gptj_scaled();
+    cfg.max_seq = 512;
+    constexpr std::int64_t kFilled = 400, kReps = 50;
+    Xoshiro256 rng(13);
+    dl::DecoderLayer layer(cfg, rng);
+    dl::Tensor prompt({kFilled, cfg.hidden}), out({kFilled, cfg.hidden});
+    prompt.randn_uniform(rng);
+    layer.prefill(prompt.data(), kFilled, out.data());
+    std::vector<float> x(static_cast<std::size_t>(cfg.hidden), 0.1f);
+    std::vector<float> y(x.size());
+    const auto us_per_token = [&](std::int64_t pos) {
+      layer.decode_one(x.data(), pos, y.data());  // warm
+      WallTimer t;
+      for (std::int64_t i = 0; i < kReps; ++i) {
+        layer.decode_one(x.data(), pos, y.data());
+      }
+      return t.micros() / static_cast<double>(kReps);
+    };
+    const double short_us = us_per_token(49);
+    const double long_us = us_per_token(kFilled - 1);
+    std::printf("\ndecode cost vs cache length (gptj layer, fp32): "
+                "pos 49 %.1f us, pos %lld %.1f us, ratio %.2fx "
+                "(expected > 1: decode reads the whole visible cache)\n",
+                short_us, static_cast<long long>(kFilled - 1), long_us,
+                long_us / short_us);
+  }
   return 0;
 }

@@ -13,16 +13,17 @@ namespace plt::common::fault {
 namespace {
 
 struct SiteState {
-  // Armed configuration. Guarded by the enabled_ publication protocol:
-  // configure() writes these, then publishes via enabled_ (release); the
-  // fast path loads enabled_ (acquire) before reading them. Reconfiguring
-  // while fault points race is a test-harness misuse, not supported.
-  Kind kind = Kind::kNone;
+  // Armed configuration. configure() writes these, then publishes via
+  // enabled (release); the fast path loads enabled (acquire) before reading
+  // them. They are atomics (relaxed) because a reconfigure can race fault
+  // points still evaluating under the previous spec: such an evaluation
+  // may see a mix of old and new fields, but never a torn or undefined one.
+  std::atomic<Kind> kind{Kind::kNone};
   // Fire threshold in [0, 2^64): event fires iff mix(seed, site, n) < bar.
-  std::uint64_t bar = 0;
+  std::atomic<std::uint64_t> bar{0};
   // Fire cap (0 = unlimited): after max_fires injections the site goes
   // quiet — `site:kind:1:1` is the deterministic "exactly once" chaos spec.
-  std::uint64_t max_fires = 0;
+  std::atomic<std::uint64_t> max_fires{0};
 
   std::atomic<std::uint64_t> evaluated{0};
   std::atomic<std::uint64_t> injected{0};
@@ -31,7 +32,7 @@ struct SiteState {
 struct Harness {
   std::atomic<bool> enabled{false};
   std::atomic<int> suppress{0};
-  std::uint64_t seed = 0;
+  std::atomic<std::uint64_t> seed{0};
   std::array<SiteState, kSiteCount> sites;
   std::mutex config_mu;
 };
@@ -104,23 +105,24 @@ bool apply_triple(Harness& h, const std::string& triple) {
     }
   }
   SiteState& st = h.sites[static_cast<std::size_t>(site)];
-  st.kind = prob > 0.0 ? kind : Kind::kNone;
+  st.kind.store(prob > 0.0 ? kind : Kind::kNone, std::memory_order_relaxed);
   // prob 1.0 must always fire: saturate instead of wrapping to 0.
-  st.bar = prob >= 1.0 ? ~0ull
-                       : static_cast<std::uint64_t>(
-                             prob * 18446744073709551616.0 /* 2^64 */);
-  st.max_fires = max_fires;
+  st.bar.store(prob >= 1.0 ? ~0ull
+                           : static_cast<std::uint64_t>(
+                                 prob * 18446744073709551616.0 /* 2^64 */),
+               std::memory_order_relaxed);
+  st.max_fires.store(max_fires, std::memory_order_relaxed);
   return true;
 }
 
 void configure_locked(Harness& h, const std::string& spec,
                       std::uint64_t seed) {
   h.enabled.store(false, std::memory_order_release);
-  h.seed = seed;
+  h.seed.store(seed, std::memory_order_relaxed);
   for (SiteState& st : h.sites) {
-    st.kind = Kind::kNone;
-    st.bar = 0;
-    st.max_fires = 0;
+    st.kind.store(Kind::kNone, std::memory_order_relaxed);
+    st.bar.store(0, std::memory_order_relaxed);
+    st.max_fires.store(0, std::memory_order_relaxed);
     st.evaluated.store(0, std::memory_order_relaxed);
     st.injected.store(0, std::memory_order_relaxed);
   }
@@ -139,7 +141,9 @@ void configure_locked(Harness& h, const std::string& spec,
     if (semi == std::string::npos) break;
     pos = semi + 1;
   }
-  for (const SiteState& st : h.sites) any = any || st.kind != Kind::kNone;
+  for (const SiteState& st : h.sites) {
+    any = any || st.kind.load(std::memory_order_relaxed) != Kind::kNone;
+  }
   h.enabled.store(any, std::memory_order_release);
 }
 
@@ -186,23 +190,25 @@ Kind should_inject(Site s) {
   if (!h.enabled.load(std::memory_order_acquire)) return Kind::kNone;
   if (h.suppress.load(std::memory_order_acquire) > 0) return Kind::kNone;
   SiteState& st = h.sites[static_cast<std::size_t>(s)];
-  if (st.kind == Kind::kNone) return Kind::kNone;
+  const Kind kind = st.kind.load(std::memory_order_relaxed);
+  if (kind == Kind::kNone) return Kind::kNone;
   const std::uint64_t n = st.evaluated.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t u =
-      mix(h.seed ^ (static_cast<std::uint64_t>(s) << 56) ^ n);
-  if (u >= st.bar) return Kind::kNone;
-  if (st.max_fires != 0) {
+  const std::uint64_t u = mix(h.seed.load(std::memory_order_relaxed) ^
+                              (static_cast<std::uint64_t>(s) << 56) ^ n);
+  if (u >= st.bar.load(std::memory_order_relaxed)) return Kind::kNone;
+  const std::uint64_t max_fires = st.max_fires.load(std::memory_order_relaxed);
+  if (max_fires != 0) {
     // Capped site: the injected counter doubles as the fire budget, claimed
     // with a CAS so it stays exact (tests assert injected == fires).
     std::uint64_t cur = st.injected.load(std::memory_order_relaxed);
     do {
-      if (cur >= st.max_fires) return Kind::kNone;
+      if (cur >= max_fires) return Kind::kNone;
     } while (!st.injected.compare_exchange_weak(cur, cur + 1,
                                                 std::memory_order_relaxed));
-    return st.kind;
+    return kind;
   }
   st.injected.fetch_add(1, std::memory_order_relaxed);
-  return st.kind;
+  return kind;
 }
 
 Kind fire_point(Site s) {

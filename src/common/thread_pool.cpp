@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/log.hpp"
 #include "common/topology.hpp"
@@ -28,6 +29,16 @@ namespace {
 // Spin budget before parking/yielding. Small enough that an oversubscribed
 // team (more threads than cores) converges quickly to yield-based waiting.
 constexpr int kSpinIters = 1 << 12;
+
+// Epoch word: (sequence << 16) | members of the partition in the region.
+// A worker that is never a member keeps a stale `seen` across regions, so
+// the 48-bit sequence must never wrap back onto it.
+constexpr int kWidthBits = 16;
+constexpr std::uint64_t kWidthMask = (std::uint64_t{1} << kWidthBits) - 1;
+
+int clamp_width(int width, int team) {
+  return width <= 0 || width > team ? team : width;
+}
 
 void pin_to_core(int core) {
 #if defined(__linux__)
@@ -62,15 +73,19 @@ bool pinning_enabled() {
   return v;
 }
 
-// Resets the thread-local region context even when the region body throws:
-// serial, degraded, and caller-participates paths all propagate exceptions
-// through the frame that set the context, and a leaked active context would
-// degrade every later region to serial.
+// Installs a thread-local region context and restores the previous one even
+// when the region body throws: serial, degraded, nested and
+// caller-participates paths all propagate exceptions through the frame that
+// set the context. A leaked active context would degrade every later region
+// to serial; a nested region that kept its enclosing context would route its
+// barriers into the enclosing team's and wait forever.
 struct ScopedRegionContext {
-  explicit ScopedRegionContext(const detail::RegionContext& v) {
+  explicit ScopedRegionContext(const detail::RegionContext& v)
+      : saved(detail::region_context()) {
     detail::region_context() = v;
   }
-  ~ScopedRegionContext() { detail::region_context() = {}; }
+  ~ScopedRegionContext() { detail::region_context() = saved; }
+  const detail::RegionContext saved;
   ScopedRegionContext(const ScopedRegionContext&) = delete;
   ScopedRegionContext& operator=(const ScopedRegionContext&) = delete;
 };
@@ -106,6 +121,10 @@ ThreadPool::ThreadPool(int nthreads, bool pin, int partitions)
     auto part = std::make_unique<Partition>();
     part->first = first;
     part->count = base + (p < rem ? 1 : 0);
+    PLT_CHECK(static_cast<std::uint64_t>(part->count) <= kWidthMask,
+              "pool partition too large for the epoch word's member count");
+    part->slots = std::make_unique<WakeSlot[]>(
+        static_cast<std::size_t>(part->count));
     for (int l = 0; l < part->count; ++l) {
       part_of_[static_cast<std::size_t>(first + l)] = p;
       local_of_[static_cast<std::size_t>(first + l)] = l;
@@ -246,9 +265,14 @@ ThreadPool::ThreadPool(int nthreads, bool pin, int partitions)
 ThreadPool::~ThreadPool() {
   shutdown_.store(true, std::memory_order_release);
   for (auto& part : parts_) {
-    std::lock_guard<std::mutex> g(part->wake_mu);
+    for (int l = 0; l < part->count; ++l) {
+      WakeSlot& slot = part->slots[static_cast<std::size_t>(l)];
+      {
+        std::lock_guard<std::mutex> g(slot.mu);
+      }
+      slot.cv.notify_one();
+    }
   }
-  for (auto& part : parts_) part->wake_cv.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
@@ -261,45 +285,51 @@ void ThreadPool::worker_main(int g) {
   const int p = part_of_[static_cast<std::size_t>(g)];
   const int l = local_of_[static_cast<std::size_t>(g)];
   Partition& part = *parts_[static_cast<std::size_t>(p)];
+  WakeSlot& slot = part.slots[static_cast<std::size_t>(l)];
   if (!part.pin_cores.empty()) {
     pin_to_core(part.pin_cores[static_cast<std::size_t>(l)]);
   }
 
-  std::uint64_t last_epoch = 0;
+  std::uint64_t seen = 0;
+  int spins = 0;
   while (true) {
-    // Wait for the next region (or shutdown): spin briefly, then park.
-    int spins = 0;
-    while (part.epoch.load(std::memory_order_acquire) == last_epoch &&
+    // Wait for the next region (or shutdown): spin briefly, then park on
+    // this member's own slot. The spin budget carries over regions this
+    // worker is not a member of, so skipping one costs no fresh spin.
+    std::uint64_t word;
+    while ((word = part.epoch.load(std::memory_order_acquire)) == seen &&
            !shutdown_.load(std::memory_order_acquire)) {
       if (++spins < kSpinIters) {
         PLT_CPU_PAUSE();
       } else {
-        std::unique_lock<std::mutex> lk(part.wake_mu);
-        part.wake_cv.wait(lk, [&] {
-          return part.epoch.load(std::memory_order_acquire) != last_epoch ||
+        // parked/epoch form a store-load pair with publish(), which stores
+        // the epoch and then reads parked: one of the two sides sees the
+        // other, so a wake-up is never lost.
+        std::unique_lock<std::mutex> lk(slot.mu);
+        slot.parked.store(true, std::memory_order_seq_cst);
+        slot.cv.wait(lk, [&] {
+          return part.epoch.load(std::memory_order_seq_cst) != seen ||
                  shutdown_.load(std::memory_order_acquire);
         });
+        slot.parked.store(false, std::memory_order_relaxed);
       }
     }
     if (shutdown_.load(std::memory_order_acquire)) return;
-    last_epoch = part.epoch.load(std::memory_order_acquire);
+    seen = word;
+    const int members = static_cast<int>(word & kWidthMask);
+    if (l >= members) continue;  // not a member: fn/ctx are not ours to read
+    spins = 0;
 
     // Exception firewall: anything escaping fn here would otherwise reach
     // the top of this thread and std::terminate. RegionAborted is the
     // barrier-unwind marker, not a failure in itself.
     const Scope scope = part.scope;
+    const int tid = scope == Scope::kTeam ? g : l;
     {
-      ScopedRegionContext ctx(scope == Scope::kTeam
-                                  ? detail::RegionContext{this, g, nthreads_,
-                                                          true, -1}
-                                  : detail::RegionContext{this, l, part.count,
-                                                          true, p});
+      ScopedRegionContext ctx({this, tid, part.nthreads, true,
+                               scope == Scope::kTeam ? -1 : p});
       try {
-        if (scope == Scope::kTeam) {
-          part.fn(part.ctx, g, nthreads_);
-        } else {
-          part.fn(part.ctx, l, part.count);
-        }
+        part.fn(part.ctx, tid, part.nthreads);
       } catch (const detail::RegionAborted&) {
       } catch (...) {
         record_region_exception(scope, part);
@@ -307,7 +337,7 @@ void ThreadPool::worker_main(int g) {
     }
 
     if (part.done.fetch_add(1, std::memory_order_acq_rel) ==
-        expected_done(part, p) - 1) {
+        workers_of(p, members) - 1) {
       // Last member: release the dispatcher if it fell asleep.
       std::lock_guard<std::mutex> guard(part.done_mu);
       part.done_cv.notify_one();
@@ -331,11 +361,12 @@ void ThreadPool::record_region_exception(Scope scope, Partition& part) {
   }
 }
 
-void ThreadPool::publish(Partition& part, Scope scope, RegionFn fn,
-                         void* ctx) {
+void ThreadPool::publish(Partition& part, int p, Scope scope, RegionFn fn,
+                         void* ctx, int members, int nthreads) {
   part.fn = fn;
   part.ctx = ctx;
   part.scope = scope;
+  part.nthreads = nthreads;
   // Clear partition-scope firewall state from any previous run_on() region
   // before members can observe the new epoch.
   part.abort.store(false, std::memory_order_relaxed);
@@ -344,17 +375,27 @@ void ThreadPool::publish(Partition& part, Scope scope, RegionFn fn,
     part.exc = nullptr;
   }
   part.done.store(0, std::memory_order_relaxed);
-  part.epoch.fetch_add(1, std::memory_order_acq_rel);
-  {
-    // Pairs with the predicate check in worker_main's parked wait.
-    std::lock_guard<std::mutex> g(part.wake_mu);
+  // Only the dispatcher owning dispatch_mu writes the word, so a plain
+  // load + store advances the sequence.
+  const std::uint64_t seq =
+      (part.epoch.load(std::memory_order_relaxed) >> kWidthBits) + 1;
+  part.epoch.store((seq << kWidthBits) | static_cast<std::uint64_t>(members),
+                   std::memory_order_seq_cst);
+  // Wake the parked members only; spinning ones see the store. Pairs with
+  // the parked/epoch check in worker_main.
+  for (int l = p == 0 ? 1 : 0; l < members; ++l) {
+    WakeSlot& slot = part.slots[static_cast<std::size_t>(l)];
+    if (slot.parked.load(std::memory_order_seq_cst)) {
+      {
+        std::lock_guard<std::mutex> g(slot.mu);
+      }
+      slot.cv.notify_one();
+    }
   }
-  part.wake_cv.notify_all();
 }
 
-void ThreadPool::wait_partition_done(Partition& part) {
-  const int p = part_of_[static_cast<std::size_t>(part.first)];
-  const int expected = expected_done(part, p);
+void ThreadPool::wait_partition_done(Partition& part, int p, int members) {
+  const int expected = workers_of(p, members);
   int spins = 0;
   while (part.done.load(std::memory_order_acquire) != expected) {
     if (++spins < kSpinIters) {
@@ -370,15 +411,22 @@ void ThreadPool::wait_partition_done(Partition& part) {
   part.ctx = nullptr;
 }
 
-void ThreadPool::run(RegionFn fn, void* ctx) {
-  detail::RegionContext& rc = detail::region_context();
-  if (rc.active) {
-    // Nested dispatch degrades to a serial region (OpenMP nesting-off).
-    serial_degradations_.fetch_add(1, std::memory_order_relaxed);
-    fn(ctx, 0, 1);
+void ThreadPool::run_nested(RegionFn fn, void* ctx) {
+  // Nested dispatch degrades to a serial region (OpenMP nesting-off). It is
+  // a region of its own: a barrier inside it must not reach the enclosing
+  // team's barrier, which the other members will never arrive at.
+  serial_degradations_.fetch_add(1, std::memory_order_relaxed);
+  ScopedRegionContext src({this, 0, 1, true, -1});
+  fn(ctx, 0, 1);
+}
+
+void ThreadPool::run(RegionFn fn, void* ctx, int width) {
+  if (detail::region_context().active) {
+    run_nested(fn, ctx);
     return;
   }
-  if (nthreads_ == 1) {
+  width = clamp_width(width, nthreads_);
+  if (width == 1) {
     team_regions_.fetch_add(1, std::memory_order_relaxed);
     ScopedRegionContext src({this, 0, 1, true, -1});
     fn(ctx, 0, 1);  // exceptions propagate to the caller directly
@@ -388,15 +436,17 @@ void ThreadPool::run(RegionFn fn, void* ctx) {
   // One team, one dispatcher: a second application thread dispatching while
   // the team is busy runs its region serially instead of racing on the
   // dispatch state (which would deadlock) or convoying behind the first.
-  // A whole-team region claims every partition, so it also excludes (and is
-  // excluded by) concurrent run_on() dispatchers.
+  // A run() region claims every partition holding one of its members (always
+  // partition 0, so two run() regions never overlap), and so excludes (and
+  // is excluded by) concurrent run_on() dispatchers on those partitions.
+  const int nparts = part_of_[static_cast<std::size_t>(width - 1)] + 1;
   int locked = 0;
-  for (; locked < nparts_; ++locked) {
+  for (; locked < nparts; ++locked) {
     if (!parts_[static_cast<std::size_t>(locked)]->dispatch_mu.try_lock()) {
       break;
     }
   }
-  if (locked < nparts_) {
+  if (locked < nparts) {
     for (int p = 0; p < locked; ++p) {
       parts_[static_cast<std::size_t>(p)]->dispatch_mu.unlock();
     }
@@ -412,19 +462,25 @@ void ThreadPool::run(RegionFn fn, void* ctx) {
     std::lock_guard<std::mutex> g(team_exc_mu_);
     team_exc_ = nullptr;
   }
-  for (auto& part : parts_) publish(*part, Scope::kTeam, fn, ctx);
+  for (int p = 0; p < nparts; ++p) {
+    Partition& part = *parts_[static_cast<std::size_t>(p)];
+    publish(part, p, Scope::kTeam, fn, ctx, members_in(part, width), width);
+  }
 
   {
-    ScopedRegionContext src({this, 0, nthreads_, true, -1});
+    ScopedRegionContext src({this, 0, width, true, -1});
     try {
-      fn(ctx, 0, nthreads_);
+      fn(ctx, 0, width);
     } catch (const detail::RegionAborted&) {
     } catch (...) {
       record_region_exception(Scope::kTeam, *parts_[0]);
     }
   }
 
-  for (auto& part : parts_) wait_partition_done(*part);
+  for (int p = 0; p < nparts; ++p) {
+    Partition& part = *parts_[static_cast<std::size_t>(p)];
+    wait_partition_done(part, p, members_in(part, width));
+  }
 
   // Every member has retired: harvest the firewall state. Barrier episodes
   // interrupted by the abort left waiting counters mid-episode; reset them
@@ -432,8 +488,9 @@ void ThreadPool::run(RegionFn fn, void* ctx) {
   // they only advance on a completed release).
   std::exception_ptr exc;
   if (team_abort_.load(std::memory_order_acquire)) {
-    for (auto& part : parts_) {
-      part->leaf_waiting.store(0, std::memory_order_relaxed);
+    for (int p = 0; p < nparts; ++p) {
+      parts_[static_cast<std::size_t>(p)]->leaf_waiting.store(
+          0, std::memory_order_relaxed);
     }
     root_waiting_.store(0, std::memory_order_relaxed);
     std::lock_guard<std::mutex> g(team_exc_mu_);
@@ -441,23 +498,24 @@ void ThreadPool::run(RegionFn fn, void* ctx) {
     team_exc_ = nullptr;
     team_abort_.store(false, std::memory_order_relaxed);
   }
-  for (auto& part : parts_) part->dispatch_mu.unlock();
+  for (int p = 0; p < nparts; ++p) {
+    parts_[static_cast<std::size_t>(p)]->dispatch_mu.unlock();
+  }
   if (exc) std::rethrow_exception(exc);
 }
 
-bool ThreadPool::run_on(int p, RegionFn fn, void* ctx) {
-  detail::RegionContext& rc = detail::region_context();
-  if (p < 0 || p >= nparts_) p = ((p % nparts_) + nparts_) % nparts_;
-  Partition& part = *parts_[static_cast<std::size_t>(p)];
-
-  if (rc.active) {
-    serial_degradations_.fetch_add(1, std::memory_order_relaxed);
-    fn(ctx, 0, 1);
+bool ThreadPool::run_on(int p, RegionFn fn, void* ctx, int width) {
+  if (detail::region_context().active) {
+    run_nested(fn, ctx);
     return false;
   }
+  if (p < 0 || p >= nparts_) p = ((p % nparts_) + nparts_) % nparts_;
+  Partition& part = *parts_[static_cast<std::size_t>(p)];
+  width = clamp_width(width, part.count);
+
   const bool caller_participates = (p == 0);
-  if (part.count == 1 && caller_participates) {
-    // Single-member partition 0: the caller is the whole sub-team.
+  if (width == 1 && caller_participates) {
+    // One member on partition 0: the caller is the whole region.
     part.regions.fetch_add(1, std::memory_order_relaxed);
     ScopedRegionContext src({this, 0, 1, true, p});
     fn(ctx, 0, 1);  // exceptions propagate to the caller directly
@@ -472,17 +530,17 @@ bool ThreadPool::run_on(int p, RegionFn fn, void* ctx) {
   std::lock_guard<std::mutex> guard(part.dispatch_mu, std::adopt_lock);
 
   part.regions.fetch_add(1, std::memory_order_relaxed);
-  publish(part, Scope::kPartition, fn, ctx);
+  publish(part, p, Scope::kPartition, fn, ctx, width, width);
   if (caller_participates) {
-    ScopedRegionContext src({this, 0, part.count, true, p});
+    ScopedRegionContext src({this, 0, width, true, p});
     try {
-      fn(ctx, 0, part.count);
+      fn(ctx, 0, width);
     } catch (const detail::RegionAborted&) {
     } catch (...) {
       record_region_exception(Scope::kPartition, part);
     }
   }
-  wait_partition_done(part);
+  wait_partition_done(part, p, width);
 
   // Harvest the partition firewall (see run()); dispatch_mu is released by
   // the adopt_lock guard during unwinding, so rethrowing here is safe.
@@ -500,22 +558,22 @@ bool ThreadPool::run_on(int p, RegionFn fn, void* ctx) {
   return true;
 }
 
-void ThreadPool::leaf_barrier(Partition& part, bool team_scope) {
+void ThreadPool::leaf_barrier(Partition& part, Scope scope, int arrivals,
+                              int roots) {
   // Abort-aware: a member that threw never arrives, so anyone waiting on it
   // would spin forever. Waiters poll the region's abort flag and unwind via
   // RegionAborted; the dispatcher resets the mid-episode waiting counters
   // once every member has retired.
-  const Scope scope = team_scope ? Scope::kTeam : Scope::kPartition;
   if (region_aborted(scope, part)) throw detail::RegionAborted{};
   const std::uint64_t gen = part.leaf_gen.load(std::memory_order_acquire);
   if (part.leaf_waiting.fetch_add(1, std::memory_order_acq_rel) ==
-      part.count - 1) {
+      arrivals - 1) {
     // Partition representative: join the root before releasing the leaf so
     // the episode orders every member of every partition. Hierarchical
     // episodes are counted once at the root release (not per leaf), so the
     // stat is comparable across partition counts.
-    if (team_scope && nparts_ > 1) {
-      root_barrier();
+    if (roots > 1) {
+      root_barrier(roots);
     } else {
       barrier_epochs_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -535,12 +593,12 @@ void ThreadPool::leaf_barrier(Partition& part, bool team_scope) {
   }
 }
 
-void ThreadPool::root_barrier() {
+void ThreadPool::root_barrier(int roots) {
   // Only reached from team-scope episodes; partition 0 is a placeholder for
   // the scope-matched abort check.
   if (region_aborted(Scope::kTeam, *parts_[0])) throw detail::RegionAborted{};
   const std::uint64_t gen = root_gen_.load(std::memory_order_acquire);
-  if (root_waiting_.fetch_add(1, std::memory_order_acq_rel) == nparts_ - 1) {
+  if (root_waiting_.fetch_add(1, std::memory_order_acq_rel) == roots - 1) {
     barrier_epochs_.fetch_add(1, std::memory_order_relaxed);
     root_waiting_.store(0, std::memory_order_relaxed);
     root_gen_.store(gen + 1, std::memory_order_release);
@@ -561,15 +619,19 @@ void ThreadPool::root_barrier() {
 
 void ThreadPool::barrier(int tid) {
   const detail::RegionContext& rc = detail::region_context();
-  if (rc.active && rc.nthreads <= 1) return;  // serial/degraded region
-  if (nthreads_ == 1) return;
+  const int width = rc.active ? rc.nthreads : nthreads_;
+  if (width <= 1) return;  // serial/degraded/one-member region
   if (rc.active && rc.partition >= 0) {
-    leaf_barrier(*parts_[static_cast<std::size_t>(rc.partition)], false);
+    leaf_barrier(*parts_[static_cast<std::size_t>(rc.partition)],
+                 Scope::kPartition, width, 1);
     return;
   }
-  // Whole-team region: tid is the global slot; synchronize hierarchically.
-  const int p = part_of_[static_cast<std::size_t>(tid)];
-  leaf_barrier(*parts_[static_cast<std::size_t>(p)], true);
+  // run() region: tid is the global slot; members 0..width-1 synchronize
+  // hierarchically across the partitions they span.
+  Partition& part =
+      *parts_[static_cast<std::size_t>(part_of_[static_cast<std::size_t>(tid)])];
+  leaf_barrier(part, Scope::kTeam, members_in(part, width),
+               part_of_[static_cast<std::size_t>(width - 1)] + 1);
 }
 
 ThreadPool::Stats ThreadPool::stats() const {

@@ -75,16 +75,19 @@ inline void thread_barrier() {
 
 // Runs fn(tid, nthreads) on one pool partition's sub-team; regions on
 // distinct partitions execute concurrently (the serving layer runs one
-// per-partition batch on each). Under non-pool runtimes, or when the pool
-// has a single partition, this is exactly parallel_region(fn). Returns false
-// when the region degraded to a serial call (nested dispatch, busy
-// partition) — results are identical either way, only concurrency is lost.
+// per-partition batch on each). width sizes the region as for
+// parallel_region, clamped to the sub-team. Under non-pool runtimes this is
+// exactly parallel_region(fn, width). Returns false when the region degraded
+// to a serial call (nested dispatch, busy partition) — results are identical
+// either way, only concurrency is lost.
 template <typename Fn>
-bool parallel_region_on(int partition, Fn&& fn);
+bool parallel_region_on(int partition, Fn&& fn, int width = 0);
 
-// Runs fn(tid, nthreads) once per team member under the current runtime.
+// Runs fn(tid, nthreads) once per region member under the current runtime.
+// The region has min(width, max_threads()) members (width <= 0 = the whole
+// team); the pool wakes only those.
 template <typename Fn>
-void parallel_region(Fn&& fn) {
+void parallel_region(Fn&& fn, int width = 0) {
   switch (runtime()) {
     case Runtime::kSerial:
       break;
@@ -99,7 +102,9 @@ void parallel_region(Fn&& fn) {
       // with internal barriers must catch per work item (serving does).
       std::exception_ptr region_exc;
       std::mutex exc_mu;
-#pragma omp parallel
+      const int team = omp_get_max_threads();
+      const int members = width <= 0 || width > team ? team : width;
+#pragma omp parallel num_threads(members)
       {
         try {
           fn(omp_get_thread_num(), omp_get_num_threads());
@@ -120,7 +125,7 @@ void parallel_region(Fn&& fn) {
           [](void* c, int tid, int nthreads) {
             (*static_cast<FnT*>(c))(tid, nthreads);
           },
-          const_cast<void*>(static_cast<const void*>(&fn)));
+          const_cast<void*>(static_cast<const void*>(&fn)), width);
       return;
     }
   }
@@ -128,12 +133,12 @@ void parallel_region(Fn&& fn) {
 }
 
 template <typename Fn>
-bool parallel_region_on(int partition, Fn&& fn) {
+bool parallel_region_on(int partition, Fn&& fn, int width) {
   if (runtime() != Runtime::kPool) {
     // Nested dispatch degrades parallel_region to a serial call on every
     // backend; report it so the return contract holds on fallback paths.
     const bool nested = detail::region_context().active;
-    parallel_region(std::forward<Fn>(fn));
+    parallel_region(std::forward<Fn>(fn), width);
     return !nested;
   }
   // Always dispatch through run_on: on a 1-partition pool, partition 0 IS
@@ -146,7 +151,7 @@ bool parallel_region_on(int partition, Fn&& fn) {
       [](void* c, int tid, int nthreads) {
         (*static_cast<FnT*>(c))(tid, nthreads);
       },
-      const_cast<void*>(static_cast<const void*>(&fn)));
+      const_cast<void*>(static_cast<const void*>(&fn)), width);
 }
 
 // Partition count of the active execution backend: the process-wide pool's

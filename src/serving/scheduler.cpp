@@ -13,6 +13,34 @@ namespace plt::serving {
 
 using steady_clock = std::chrono::steady_clock;
 
+namespace {
+
+// Runs a batch of `batch` requests as one region sized to it: member t of
+// min(batch, team) members serves requests t, t + nthreads, ..., and team
+// members with no request are never woken (a batch of one on partition 0
+// runs on the dispatcher itself). Nests inside a request run as serial
+// walks (nested-region rule), so this is the only dispatch cost. In the
+// sharded layout a home batch runs on the SESSION's partition — the
+// sub-team whose node first-touched its weights/scratch — even when the
+// shard count differs from the partition count. A stolen batch (executing
+// on a shard other than the session's home shard) runs on the thief's
+// partition instead: the home sub-team is busy, and extra concurrency is
+// the point of the steal. run_on() wraps either index modulo the partition
+// count.
+template <typename Body>
+void run_batch_region(int s, int nshards, const Session& session, int batch,
+                      const Body& body) {
+  if (nshards > 1) {
+    const int home = session.partition();
+    const bool home_batch = home >= 0 && home % nshards == s;
+    parallel_region_on(home_batch ? home : s, body, batch);
+  } else {
+    parallel_region(body, batch);
+  }
+}
+
+}  // namespace
+
 SchedulerConfig SchedulerConfig::from_env() {
   const SchedulerConfig def;
   SchedulerConfig c;
@@ -279,11 +307,10 @@ void RequestScheduler::execute_batch(
   for (std::size_t i = 0; i < reqs.size(); ++i) rp[i] = reqs[i].get();
 
   WallTimer exec_timer;
-  // One region for the whole batch: team member t serves requests
-  // t, t + nthreads, ... on their own lanes; nests inside a request run as
-  // serial walks (nested-region rule), so this is the only dispatch cost.
-  // The session exec mutex keeps a stolen batch from racing the home
-  // dispatcher on the same lanes; it is uncontended in steady state.
+  // One region for the whole batch, each request on its own lane (see
+  // run_batch_region). The session exec mutex keeps a stolen batch from
+  // racing the home dispatcher on the same lanes; it is uncontended in
+  // steady state.
   {
     std::lock_guard<std::mutex> lane_guard(session->exec_mutex());
     // Per-request exception firewall: a poisoned request fails ITS OWN
@@ -302,20 +329,7 @@ void RequestScheduler::execute_batch(
         }
       }
     };
-    if (shard_count() > 1) {
-      // Sharded layout: a home batch runs on the SESSION's partition — the
-      // sub-team whose node first-touched its weights/scratch — even when
-      // the shard count differs from the partition count. A stolen batch
-      // (executing on a shard other than the session's home shard) runs on
-      // the thief's partition instead: the home sub-team is busy, and extra
-      // concurrency is the point of the steal. run_on() wraps either index
-      // modulo the partition count.
-      const int home = session->partition();
-      const bool home_batch = home >= 0 && home % shard_count() == s;
-      parallel_region_on(home_batch ? home : s, body);
-    } else {
-      parallel_region(body);
-    }
+    run_batch_region(s, shard_count(), *session, batch, body);
   }
   const double exec_us = exec_timer.micros();
 
@@ -377,10 +391,11 @@ RequestScheduler::execute_steps(
   for (std::size_t i = 0; i < reqs.size(); ++i) rp[i] = reqs[i].get();
 
   WallTimer exec_timer;
-  // One region per token window: team member t advances requests
-  // t, t + nthreads, ... by ONE step, each on the lane it holds across its
-  // whole lifetime (the lane's KV cache is the request's decode state). Same
-  // exec-mutex and per-request firewall rules as a monolithic batch.
+  // One region per token window, sized to the requests in it: member t
+  // advances requests t, t + nthreads, ... by ONE step, each on the lane it
+  // holds across its whole lifetime (the lane's KV cache is the request's
+  // decode state). Same exec-mutex and per-request firewall rules as a
+  // monolithic batch.
   {
     std::lock_guard<std::mutex> lane_guard(session->exec_mutex());
     const auto body = [&](int tid, int nthreads) {
@@ -395,13 +410,7 @@ RequestScheduler::execute_steps(
         }
       }
     };
-    if (shard_count() > 1) {
-      const int home = session->partition();
-      const bool home_batch = home >= 0 && home % shard_count() == s;
-      parallel_region_on(home_batch ? home : s, body);
-    } else {
-      parallel_region(body);
-    }
+    run_batch_region(s, shard_count(), *session, batch, body);
   }
   const double exec_us = exec_timer.micros();
 

@@ -40,13 +40,16 @@
 // (ThreadPool::note_steal). Per-session batches are serialized by the
 // session's exec mutex, so a stolen batch never races the home dispatcher on
 // the same lanes. With one shard the layout and execution path reduce
-// exactly to the pre-sharding scheduler (one queue, whole-team batches).
+// exactly to the pre-sharding scheduler (one queue, one region per batch).
 //
-// A batch executes as one region on the persistent pool: team member t runs
-// requests t, t+nthreads, ... each on its own session lane, and every
-// PARLOOPER nest inside a request degrades to a serial walk (nested-region
-// rule). So the per-batch dispatch cost is one epoch bump — no per-request
-// OpenMP region spawn, ever.
+// A batch executes as one region on the persistent pool, sized to the
+// batch: min(batch, team) members, member t running requests t,
+// t+nthreads, ... each on its own session lane. Team members with no
+// request are neither woken nor waited for, and a batch of one on partition
+// 0 runs on the dispatcher thread with no wake-up at all. Every PARLOOPER
+// nest inside a request degrades to a serial walk (nested-region rule), so
+// the per-batch dispatch cost is at most one epoch bump plus one wake per
+// parked member — no per-request OpenMP region spawn, ever.
 //
 // Determinism: a lane is a full model replica seeded identically to every
 // other lane, and a serial nest walk is bitwise-equal to a parallel one

@@ -120,6 +120,12 @@ void Watchdog::main() {
     last_hb[static_cast<std::size_t>(s)] = sched_->shard_heartbeat(s);
   }
   const auto period = std::chrono::microseconds(cfg_.period_usecs);
+  const auto readmit = [&](int s) {
+    if (!sched_->shard_quarantined(s)) return;
+    sched_->set_shard_quarantined(s, false);
+    recoveries_.fetch_add(1, std::memory_order_relaxed);
+    PLT_LOG_INFO << "watchdog: shard " << s << " recovered; quarantine lifted";
+  };
 
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
@@ -133,17 +139,17 @@ void Watchdog::main() {
         // shard if a previous incident quarantined it.
         last_hb[si] = hb;
         ticks[si] = 0;
-        if (sched_->shard_quarantined(s)) {
-          sched_->set_shard_quarantined(s, false);
-          recoveries_.fetch_add(1, std::memory_order_relaxed);
-          PLT_LOG_INFO << "watchdog: shard " << s
-                       << " recovered; quarantine lifted";
-        }
+        readmit(s);
         continue;
       }
       if (sched_->shard_backlog(s) == 0) {
-        // Heartbeat frozen but nothing owed: the idle-parked signature.
+        // Heartbeat frozen but nothing owed: the idle-parked signature. A
+        // quarantined shard in this state drained what it was quarantined
+        // for — a slow dispatcher can clear its whole backlog within the
+        // loop iteration the quarantine sampled, then park without another
+        // heartbeat — so it is re-admitted rather than left out for good.
         ticks[si] = 0;
+        readmit(s);
         continue;
       }
       ++ticks[si];
@@ -177,12 +183,7 @@ void Watchdog::main() {
           // backlog and park before this thread samples again, and a parked
           // (frozen-heartbeat, zero-backlog) shard would stay quarantined
           // forever if re-admission waited for visible progress.
-          if (sched_->shard_quarantined(s)) {
-            sched_->set_shard_quarantined(s, false);
-            recoveries_.fetch_add(1, std::memory_order_relaxed);
-            PLT_LOG_INFO << "watchdog: shard " << s
-                         << " recovered; quarantine lifted";
-          }
+          readmit(s);
         }
         last_hb[si] = sched_->shard_heartbeat(s);
         ticks[si] = 0;

@@ -25,7 +25,8 @@
 //                              exactly one terminal status.
 //
 // Escalation resets as soon as the heartbeat advances again; a quarantined
-// shard is re-admitted (recovery) when its replacement makes progress. A
+// shard is re-admitted (recovery) when its dispatcher makes progress or its
+// backlog is gone. A
 // parked dispatcher with an EMPTY shard is never flagged — zero backlog is
 // the idle signature, not the wedged one.
 //

@@ -13,7 +13,6 @@
 #include "parlooper/jit_backend.hpp"
 #include "parlooper/threaded_loop.hpp"
 #include "test_utils.hpp"
-#include "common/timer.hpp"
 #include "tpp/brgemm.hpp"
 #include "tpp/transforms.hpp"
 
@@ -185,7 +184,12 @@ TEST(Llm, Bf16GenerationStaysFinite) {
 
 TEST(Llm, LongerCacheCostsMorePerToken) {
   // Decode cost grows with the visible cache length — the bandwidth-bound
-  // regime of Fig. 11's "next tokens" bar.
+  // regime of Fig. 11's "next tokens" bar. Structurally: a token decoded at
+  // position pos attends to exactly cache rows [0, pos], so its work grows
+  // with pos. Two layers with identical weights get prompts that differ
+  // only in rows [50, 400): decoding at 49 must not see the difference,
+  // decoding at 399 must. (bench_fig11_llm times the per-token cost at
+  // short vs long positions.)
   dl::LlmConfig cfg;
   cfg.hidden = 64;
   cfg.heads = 2;
@@ -193,22 +197,31 @@ TEST(Llm, LongerCacheCostsMorePerToken) {
   cfg.ffn = 128;
   cfg.max_seq = 512;
   cfg.bm = cfg.bn = cfg.bk = 16;
-  Xoshiro256 rng(13);
-  dl::DecoderLayer layer(cfg, rng);
-  std::vector<float> x(static_cast<std::size_t>(cfg.hidden), 0.1f);
-  std::vector<float> y(x.size());
-  // Fill positions [0, 400) then time decode at short vs long positions.
-  dl::Tensor prompt({400, cfg.hidden});
-  prompt.randn_uniform(rng);
-  dl::Tensor out({400, cfg.hidden});
-  layer.prefill(prompt.data(), 400, out.data());
-  const auto time_at = [&](std::int64_t pos) {
-    WallTimer t;
-    for (int i = 0; i < 50; ++i) layer.decode_one(x.data(), pos, y.data());
-    return t.seconds();
+  constexpr std::int64_t kPrompt = 400, kShort = 49;
+  Xoshiro256 rng_a(13), rng_b(13);
+  dl::DecoderLayer layer_a(cfg, rng_a), layer_b(cfg, rng_b);
+  const std::vector<float> prompt_a =
+      random_vec(static_cast<std::size_t>(kPrompt * cfg.hidden), 14);
+  std::vector<float> prompt_b = prompt_a;
+  for (std::size_t i = static_cast<std::size_t>((kShort + 1) * cfg.hidden);
+       i < prompt_b.size(); ++i) {
+    prompt_b[i] += 0.5f;
+  }
+  dl::Tensor out({kPrompt, cfg.hidden});
+  layer_a.prefill(prompt_a.data(), kPrompt, out.data());
+  layer_b.prefill(prompt_b.data(), kPrompt, out.data());
+
+  const std::vector<float> x(static_cast<std::size_t>(cfg.hidden), 0.1f);
+  const auto decode = [&](dl::DecoderLayer& layer, std::int64_t pos) {
+    std::vector<float> y(x.size());
+    layer.decode_one(x.data(), pos, y.data());
+    return y;
   };
-  // Amortized over 50 calls; position 399 attends to 8x more cache than 49.
-  EXPECT_GT(time_at(399), time_at(49) * 1.05);
+  EXPECT_EQ(decode(layer_a, kShort), decode(layer_b, kShort))
+      << "a decode at position " << kShort << " read cache rows past it";
+  EXPECT_NE(decode(layer_a, kPrompt - 1), decode(layer_b, kPrompt - 1))
+      << "a decode at position " << kPrompt - 1
+      << " ignored cache rows it must attend to";
 }
 
 TEST(UnaryTPP, StridedBf16Reductions) {

@@ -146,18 +146,37 @@ TEST(Integration, TunerBestSpecIsReproducible) {
   tuner::GemmTuner tuner(base, topts);
   const auto results = tuner.run(cands);
 
-  // Re-running the winning candidate standalone reproduces a comparable
-  // rate (within 2x — generous, CI timing is noisy).
+  // Every candidate was timed and the ranking is best first.
+  ASSERT_EQ(results.size(), cands.size());
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_GE(results[i - 1].gflops, results[i].gflops) << i;
+  }
+  EXPECT_GT(results.back().gflops, 0.0);
+
+  // The winning candidate rebuilt standalone computes the product...
   kernels::GemmConfig best = base;
   best.loop_spec = results.front().candidate.spec;
   best.k_blocking = results.front().candidate.k_blocking;
   best.m_blocking = results.front().candidate.m_blocking;
   best.n_blocking = results.front().candidate.n_blocking;
   kernels::GemmKernel kernel(best);
+  const auto a_flat = random_vec(static_cast<std::size_t>(best.M * best.K), 5);
+  const auto b_flat = random_vec(static_cast<std::size_t>(best.K * best.N), 6);
   AlignedBuffer<std::uint8_t> a(kernel.a_elems() * 4), b(kernel.b_elems() * 4),
       c(kernel.c_elems() * 4);
-  a.zero();
-  b.zero();
+  kernel.pack_a(a_flat.data(), a.data());
+  kernel.pack_b(b_flat.data(), b.data());
+  kernel.run(a.data(), b.data(), c.data());
+  std::vector<float> got(kernel.c_elems());
+  kernel.unpack_c(c.data(), got.data());
+  std::vector<float> want(got.size(), 0.0f);
+  naive_gemm(a_flat.data(), b_flat.data(), want.data(), best.M, best.N,
+             best.K, best.M, best.K, best.M, 0.0f);
+  expect_allclose(got.data(), want.data(), want.size(), 1e-4f,
+                  "tuned winner vs naive");
+
+  // ...and re-running it reproduces a comparable rate (within 2x —
+  // generous, CI timing is noisy).
   const double s = time_best_seconds(
       [&] { kernel.run(a.data(), b.data(), c.data()); }, 1, 3);
   const double gf = gflops(kernel.flops(), s);

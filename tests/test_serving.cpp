@@ -6,6 +6,8 @@
 // (the CI thread-sanitizer job runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -879,14 +881,16 @@ TEST(SchedulerShutdown, SubmitRacingShutdownResolvesEveryHandleExactlyOnce) {
   RequestScheduler sched(cfg);
   constexpr int kProducers = 4, kPerProducer = 50;
   const float in[4] = {1, 1, 1, 1};
-  static float sink[kProducers][4];  // rejected requests never write anyway
+  // One output per request: batch-mates run concurrently and must not share
+  // a buffer (rejected requests never write theirs).
+  static float sink[kProducers][kPerProducer][4];
   std::vector<std::vector<RequestHandle>> handles(kProducers);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         handles[static_cast<std::size_t>(p)].push_back(
-            sched.submit(s, in, sink[p]));
+            sched.submit(s, in, sink[p][i]));
       }
     });
   }
@@ -1538,6 +1542,101 @@ TEST(SchedulerConfigEnv, PriorityAndDecodeKnobsValidateWithFallback) {
 
   ::unsetenv("PLT_SERVE_PRIORITY");
   ::unsetenv("PLT_SERVE_DECODE_STEP_TOKENS");
+}
+
+
+// --- batch-sized regions ------------------------------------------------------
+
+// Records the member id and region size every run() executes with, so tests
+// can assert how wide the scheduler sized each batch region.
+class RegionProbeSession final : public Session {
+ public:
+  RegionProbeSession(const std::string& name, int lanes)
+      : Session(name, lanes, 4, 4, 1.0) {}
+
+  struct Seen {
+    int tid, nthreads;
+  };
+
+  void run(int, const float* in, float* out) override {
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      seen_.push_back({thread_id(), num_threads_in_region()});
+    }
+    for (int i = 0; i < 4; ++i) out[i] = in[i];
+  }
+  std::vector<Seen> take() {
+    std::lock_guard<std::mutex> g(mu_);
+    std::vector<Seen> out;
+    out.swap(seen_);
+    return out;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Seen> seen_;
+};
+
+// A batch of B requests runs as one region of min(B, team) members, in the
+// single-queue layout (team = the pool) and the sharded one (team = the
+// session's partition). A blocker parks the dispatcher while the B requests
+// queue up, so they flush as exactly one batch.
+TEST(SchedulerRegionWidth, BatchRegionHasOneMemberPerRequestUpToTheTeam) {
+  if (runtime() != Runtime::kPool) {
+    GTEST_SKIP() << "region width is a pool dispatch property";
+  }
+  ThreadPool& pool = ThreadPool::instance();
+  for (const int shards : {1, 0}) {
+    SchedulerConfig cfg;
+    cfg.max_batch = pool.size() + 1;
+    cfg.batch_usecs = 0;
+    cfg.shards = shards;
+    cfg.steal = false;  // a sibling must not split the batch by stealing
+    RequestScheduler sched(cfg);
+    const int team =
+        sched.shard_count() > 1 ? pool.partition_size(0) : pool.size();
+    const std::string tag = "_shards" + std::to_string(shards);
+    auto probe =
+        std::make_shared<RegionProbeSession>("region_probe" + tag, team + 1);
+    probe->pin_partition_if_unpinned(0);
+
+    for (int batch = 1; batch <= team + 1; ++batch) {
+      auto blocker = std::make_shared<BlockingSession>(
+          "region_blk" + tag + "_" + std::to_string(batch));
+      blocker->pin_partition_if_unpinned(0);  // same shard as the probe
+      const float in[4] = {1, 2, 3, 4};
+      float bout[4];
+      std::vector<std::array<float, 4>> outs(static_cast<std::size_t>(batch));
+      auto hb = sched.submit(blocker, Request{in, bout});
+      blocker->await_entered();
+      std::vector<RequestHandle> hs;
+      for (auto& out : outs) hs.push_back(sched.submit(probe, Request{in, out.data()}));
+      blocker->release();
+      for (auto& h : hs) {
+        h.wait();
+        EXPECT_TRUE(h.status().ok());
+      }
+      hb.wait();
+
+      const int width = std::min(batch, team);
+      const std::vector<RegionProbeSession::Seen> seen = probe->take();
+      ASSERT_EQ(seen.size(), static_cast<std::size_t>(batch)) << tag;
+      std::vector<int> runs_per_tid(static_cast<std::size_t>(width), 0);
+      for (const auto& e : seen) {
+        EXPECT_EQ(e.nthreads, width) << tag << " batch " << batch;
+        ASSERT_GE(e.tid, 0);
+        ASSERT_LT(e.tid, width) << tag << " batch " << batch;
+        ++runs_per_tid[static_cast<std::size_t>(e.tid)];
+      }
+      // Member t serves requests t, t + width, ...: every member has one.
+      for (int t = 0; t < width; ++t) {
+        EXPECT_EQ(runs_per_tid[static_cast<std::size_t>(t)],
+                  (batch - t + width - 1) / width)
+            << tag << " batch " << batch << " tid " << t;
+      }
+    }
+    sched.shutdown();
+  }
 }
 
 }  // namespace

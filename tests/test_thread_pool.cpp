@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -135,6 +137,30 @@ TEST(ThreadPool, NestedRegionDegradesToSerial) {
   set_runtime(saved);
 }
 
+TEST(ThreadPool, NestedRecursiveNestBarrierCompletes) {
+  // A nest above the flat-schedule cap runs the recursive interpreter, which
+  // calls thread_barrier() after the `a|` level. Invoked by one member of an
+  // enclosing region, it degrades to a serial nested region whose barrier
+  // must stay inside that one-member region: routed into the enclosing
+  // team's barrier it would wait forever for members that never arrive.
+  std::vector<LoopSpecs> loops = {LoopSpecs{0, 32, 1, {}},
+                                  LoopSpecs{0, 32, 1, {}},
+                                  LoopSpecs{0, 16, 1, {}}};
+  LoopNest nest(loops, "a|Bc", Backend::kInterpreter);
+  if (nest.plan().total_iterations() <=
+      parlooper::LoopNestPlan::flat_schedule_max_iters()) {
+    GTEST_SKIP() << "PLT_FLAT_SCHED_MAX covers the nest: no recursive path";
+  }
+  std::atomic<std::int64_t> visits{0};
+  parallel_region([&](int tid, int) {
+    if (tid != 0) return;
+    nest([&](const std::int64_t*) {
+      visits.fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(visits.load(), 32 * 32 * 16);
+}
+
 // --- partitioned pool --------------------------------------------------------
 
 TEST(PartitionedPool, LayoutIsBalancedContiguousAndExact) {
@@ -237,69 +263,71 @@ TEST(PartitionedPool, WholeTeamResultsBitwiseIdenticalAcrossPartitionCounts) {
 
 TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
   // Two driver threads dispatch onto partitions 0 and 1 at the same time;
-  // both regions must run on their own sub-team (not degrade), and each
-  // must observe the other in flight at least once — proof the partitions
-  // do not serialize on a global dispatch lock.
+  // both regions must run on their own sub-team (not degrade), and in every
+  // rep both regions must be in flight at once: tid 0 of each waits at a
+  // rendezvous for its counterpart before leaving. A global dispatch lock
+  // serializing run_on() would strand the first region at the rendezvous;
+  // the wait is bounded, so that fails the test instead of hanging it.
+  constexpr int kReps = 50;
   ThreadPool pool(4, /*pin=*/false, /*partitions=*/2);
   ASSERT_EQ(pool.partition_size(0), 2);
   ASSERT_EQ(pool.partition_size(1), 2);
   struct Ctx {
     ThreadPool* pool;
-    std::atomic<int> active[2];
-    std::atomic<int> overlapped{0};
+    std::atomic<int> arrived[kReps];
+    std::atomic<bool> timed_out{false};
     std::atomic<int> ran[2];
-    std::atomic<bool> go{false};
   } ctx;
   ctx.pool = &pool;
-  for (auto& a : ctx.active) a.store(0);
+  for (auto& a : ctx.arrived) a.store(0);
   for (auto& r : ctx.ran) r.store(0);
 
   const auto driver = [&ctx](int part) {
-    while (!ctx.go.load(std::memory_order_acquire)) std::this_thread::yield();
     struct Arg {
       Ctx* ctx;
       int part;
-    } arg{&ctx, part};
-    for (int rep = 0; rep < 50; ++rep) {
+      int rep;
+    } arg{&ctx, part, 0};
+    for (; arg.rep < kReps; ++arg.rep) {
       const bool on_team = ctx.pool->run_on(
           part,
           [](void* c, int tid, int nthreads) {
             auto* a = static_cast<Arg*>(c);
             a->ctx->ran[a->part].fetch_add(1);
             if (tid == 0) {
-              a->ctx->active[a->part].store(1, std::memory_order_release);
-              if (a->ctx->active[1 - a->part].load(
-                      std::memory_order_acquire) != 0) {
-                a->ctx->overlapped.fetch_add(1);
+              std::atomic<int>& arrived = a->ctx->arrived[a->rep];
+              arrived.fetch_add(1, std::memory_order_acq_rel);
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(5);
+              while (arrived.load(std::memory_order_acquire) < 2 &&
+                     !a->ctx->timed_out.load(std::memory_order_acquire)) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                  a->ctx->timed_out.store(true, std::memory_order_release);
+                }
+                std::this_thread::yield();
               }
             }
             a->ctx->pool->barrier(tid);
             EXPECT_EQ(nthreads, 2);
-            if (tid == 0) {
-              a->ctx->active[a->part].store(0, std::memory_order_release);
-            }
           },
           &arg);
-      EXPECT_TRUE(on_team) << "partition " << part << " rep " << rep;
+      EXPECT_TRUE(on_team) << "partition " << part << " rep " << arg.rep;
     }
   };
   std::thread t0(driver, 0), t1(driver, 1);
-  ctx.go.store(true, std::memory_order_release);
   t0.join();
   t1.join();
-  // Every region ran on a 2-member sub-team: 50 reps x 2 members each.
-  EXPECT_EQ(ctx.ran[0].load(), 100);
-  EXPECT_EQ(ctx.ran[1].load(), 100);
-  // With enough real cores for both sub-teams, 50 reps per side must
-  // overlap at least once — a global dispatch lock serializing run_on()
-  // would keep this at 0. (Single-core machines time-slice; overlap is
-  // then possible but not guaranteed, so the assertion is gated.)
-  if (std::thread::hardware_concurrency() >= 4) {
-    EXPECT_GT(ctx.overlapped.load(), 0);
+  EXPECT_FALSE(ctx.timed_out.load())
+      << "the two partitions' regions were never in flight together";
+  for (int rep = 0; rep < kReps; ++rep) {
+    EXPECT_EQ(ctx.arrived[rep].load(), 2) << "rep " << rep;
   }
+  // Every region ran on a 2-member sub-team: kReps x 2 members each.
+  EXPECT_EQ(ctx.ran[0].load(), 2 * kReps);
+  EXPECT_EQ(ctx.ran[1].load(), 2 * kReps);
   const auto stats = pool.stats();
-  EXPECT_EQ(stats.partition[0].regions, 50u);
-  EXPECT_EQ(stats.partition[1].regions, 50u);
+  EXPECT_EQ(stats.partition[0].regions, static_cast<std::uint64_t>(kReps));
+  EXPECT_EQ(stats.partition[1].regions, static_cast<std::uint64_t>(kReps));
   EXPECT_EQ(stats.serial_degradations, 0u);
 }
 
@@ -414,6 +442,126 @@ TEST(PartitionedPool, StatsCountRegionsDegradationsAndSteals) {
   EXPECT_EQ(s.partition[0].steals, 1u);
   EXPECT_EQ(s.partition[1].steals, 2u);
 }
+
+// --- width-sized regions ----------------------------------------------------
+
+// Records which members a width-w region ran, the nthreads each saw, and
+// whether every member had arrived once the in-region barrier released.
+struct WidthProbe {
+  ThreadPool* pool = nullptr;
+  int width = 0;
+  int throw_tid = -1;  // member that throws before the barrier; -1 = none
+  std::atomic<int> calls[8];
+  std::atomic<int> wrong_nthreads{0};
+  std::atomic<int> arrived{0};
+  std::atomic<int> early_release{0};
+
+  void reset(int w, int thrower) {
+    width = w;
+    throw_tid = thrower;
+    for (auto& c : calls) c.store(0);
+    wrong_nthreads.store(0);
+    arrived.store(0);
+    early_release.store(0);
+  }
+  static void body(void* c, int tid, int nthreads) {
+    auto* x = static_cast<WidthProbe*>(c);
+    x->calls[tid].fetch_add(1);
+    if (nthreads != x->width) x->wrong_nthreads.fetch_add(1);
+    if (tid == x->throw_tid) {
+      throw RuntimeError(StatusCode::kInternal, "last member threw");
+    }
+    x->arrived.fetch_add(1);
+    x->pool->barrier(tid);
+    if (x->arrived.load() != nthreads) x->early_release.fetch_add(1);
+  }
+  void expect_ran_exactly_members(const std::string& where) const {
+    for (int t = 0; t < 8; ++t) {
+      EXPECT_EQ(calls[t].load(), t < width ? 1 : 0) << where << " tid " << t;
+    }
+    EXPECT_EQ(wrong_nthreads.load(), 0) << where;
+    EXPECT_EQ(early_release.load(), 0) << where;
+  }
+};
+
+class RegionWidthP : public ::testing::TestWithParam<int> {};
+
+TEST_P(RegionWidthP, RunWakesExactlyTheFirstWidthMembers) {
+  constexpr int kTeam = 4;
+  ThreadPool pool(kTeam, /*pin=*/false, GetParam());
+  WidthProbe probe;
+  probe.pool = &pool;
+  // Repeat every width so a member that skipped a narrower region is still
+  // woken correctly for the next one it belongs to.
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int w = 1; w <= kTeam; ++w) {
+      probe.reset(w, -1);
+      pool.run(&WidthProbe::body, &probe, w);
+      probe.expect_ran_exactly_members("run width " + std::to_string(w));
+    }
+  }
+  // Out-of-range widths mean the whole team.
+  for (int w : {0, -3, kTeam + 5}) {
+    probe.reset(kTeam, -1);
+    pool.run(&WidthProbe::body, &probe, w);
+    probe.expect_ran_exactly_members("run width " + std::to_string(w));
+  }
+  EXPECT_EQ(pool.stats().serial_degradations, 0u);
+}
+
+TEST_P(RegionWidthP, RunOnWakesExactlyTheFirstWidthMembers) {
+  ThreadPool pool(4, /*pin=*/false, GetParam());
+  WidthProbe probe;
+  probe.pool = &pool;
+  for (int p = 0; p < pool.partitions(); ++p) {
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int w = 1; w <= pool.partition_size(p); ++w) {
+        probe.reset(w, -1);
+        EXPECT_TRUE(pool.run_on(p, &WidthProbe::body, &probe, w));
+        probe.expect_ran_exactly_members("run_on p" + std::to_string(p) +
+                                         " width " + std::to_string(w));
+      }
+    }
+  }
+  EXPECT_EQ(pool.stats().serial_degradations, 0u);
+}
+
+TEST_P(RegionWidthP, ThrowFromLastMemberRethrownAndPoolReusable) {
+  constexpr int kTeam = 4;
+  ThreadPool pool(kTeam, /*pin=*/false, GetParam());
+  WidthProbe probe;
+  probe.pool = &pool;
+  const auto expect_usable = [&](const std::string& where) {
+    probe.reset(kTeam, -1);
+    pool.run(&WidthProbe::body, &probe, kTeam);
+    probe.expect_ran_exactly_members(where + ", then full run");
+    for (int p = 0; p < pool.partitions(); ++p) {
+      probe.reset(pool.partition_size(p), -1);
+      EXPECT_TRUE(pool.run_on(p, &WidthProbe::body, &probe));
+      probe.expect_ran_exactly_members(where + ", then full run_on p" +
+                                       std::to_string(p));
+    }
+  };
+  for (int w = 1; w <= kTeam; ++w) {
+    // Member w-1 throws before the barrier its teammates wait at.
+    probe.reset(w, w - 1);
+    EXPECT_THROW(pool.run(&WidthProbe::body, &probe, w), RuntimeError)
+        << "run width " << w;
+    expect_usable("run width " + std::to_string(w));
+  }
+  for (int p = 0; p < pool.partitions(); ++p) {
+    for (int w = 1; w <= pool.partition_size(p); ++w) {
+      probe.reset(w, w - 1);
+      EXPECT_THROW(pool.run_on(p, &WidthProbe::body, &probe, w), RuntimeError)
+          << "run_on p" << p << " width " << w;
+      expect_usable("run_on p" + std::to_string(p) + " width " +
+                    std::to_string(w));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PartitionCounts, RegionWidthP,
+                         ::testing::Values(1, 2));
 
 // --- cross-runtime determinism ----------------------------------------------
 

@@ -86,6 +86,37 @@ TEST(Watchdog, IdleParkedDispatcherIsNeverFlagged) {
   EXPECT_EQ(st.restarts, 0u);
 }
 
+TEST(Watchdog, QuarantinedShardWithNoBacklogIsReadmitted) {
+  // A quarantined shard whose dispatcher drained everything and parked has
+  // a frozen heartbeat and nothing owed; quarantine reroutes new work away,
+  // so no heartbeat advance would ever come. The watchdog re-admits it.
+  SchedulerConfig cfg;
+  cfg.shards = 2;
+  RequestScheduler sched(cfg);
+  // Let both dispatchers park first, so the watchdog's baseline heartbeat
+  // is final and only the empty backlog can lift the quarantine.
+  std::uint64_t hb = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  do {
+    hb = sched.shard_heartbeat(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  } while (sched.shard_heartbeat(1) != hb &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10));
+  WatchdogConfig wcfg;
+  wcfg.period_usecs = 1000;
+  Watchdog dog(&sched, nullptr, wcfg);
+  ASSERT_TRUE(dog.running());
+  sched.set_shard_quarantined(1, true);
+  const auto t1 = std::chrono::steady_clock::now();
+  while (sched.shard_quarantined(1) &&
+         std::chrono::steady_clock::now() - t1 < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(sched.shard_quarantined(1));
+  EXPECT_EQ(dog.stats().recoveries, 1u);
+  EXPECT_EQ(dog.stats().quarantines, 0u);
+}
+
 // The ISSUE acceptance scenario: an armed dispatcher_stall wedges exactly
 // one dispatcher (max_fires=1). The watchdog must warn, quarantine, fail
 // the shard's pinned sessions over to a healthy partition, restart the
@@ -119,8 +150,12 @@ TEST(Watchdog, StallEscalatesToFailoverAndRestartWithExactAccounting) {
   a->pin_partition(0);
   b->pin_partition(1);
 
+  // The period must dwarf a healthy dispatcher's worst loop iteration on a
+  // contended host: at 3 ms, suites running alongside this one let the
+  // healthy shard miss two samples and be quarantined too, leaving the
+  // failover no healthy target.
   WatchdogConfig wcfg;
-  wcfg.period_usecs = 3000;
+  wcfg.period_usecs = 20000;
   wcfg.quarantine_ticks = 2;
   wcfg.restart_ticks = 3;
   Watchdog dog(&sched, &reg, wcfg);
@@ -147,9 +182,17 @@ TEST(Watchdog, StallEscalatesToFailoverAndRestartWithExactAccounting) {
   }
   for (const auto& out : outs) EXPECT_EQ(out[3], 8.0f);
 
-  // Recovery: the replacement dispatcher's heartbeat lifts the quarantine.
+  // Recovery: the restart lifts the quarantine. A replacement slow enough
+  // to trip the ladder again (contended host) is quarantined anew until the
+  // next sample sees its progress or its emptied backlog.
+  const auto any_quarantined = [&] {
+    for (int s = 0; s < sched.shard_count(); ++s) {
+      if (sched.shard_quarantined(s)) return true;
+    }
+    return false;
+  };
   const auto t1 = std::chrono::steady_clock::now();
-  while (dog.stats().recoveries < 1 &&
+  while ((dog.stats().recoveries < 1 || any_quarantined()) &&
          std::chrono::steady_clock::now() - t1 < std::chrono::seconds(10)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
