@@ -130,38 +130,46 @@ void RequestScheduler::complete_terminal(detail::RequestState& r,
   r.latency_us =
       std::chrono::duration<double, std::micro>(now - r.t_submit).count();
   r.status = std::move(status);
-  const StatusCode code = r.status.code();
-  switch (code) {
+  std::atomic<std::uint64_t>* counter = &failed_;
+  std::uint64_t ModelStats::*field = &ModelStats::failed;
+  switch (r.status.code()) {
     case StatusCode::kDeadlineExceeded:
-      expired_.fetch_add(1, std::memory_order_relaxed);
+      counter = &expired_;
+      field = &ModelStats::expired;
       break;
     case StatusCode::kResourceExhausted:
-      shed_.fetch_add(1, std::memory_order_relaxed);
+      counter = &shed_;
+      field = &ModelStats::shed;
       break;
     case StatusCode::kUnavailable:
-      rejected_.fetch_add(1, std::memory_order_relaxed);
+      counter = &rejected_;
+      field = &ModelStats::rejected;
       break;
     default:
-      failed_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
+  counter->fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> g(stats_mu_);
     ModelStats& st = stats_[r.session->name()];
     if (st.model.empty()) st.model = r.session->name();
-    switch (code) {
-      case StatusCode::kDeadlineExceeded: st.expired += 1; break;
-      case StatusCode::kResourceExhausted: st.shed += 1; break;
-      case StatusCode::kUnavailable: st.rejected += 1; break;
-      default: st.failed += 1; break;
-    }
+    st.*field += 1;
   }
-  r.done.store(true, std::memory_order_release);
+  publish_done({&r});
+}
+
+void RequestScheduler::publish_done(
+    const std::vector<detail::RequestState*>& rs) {
+  for (detail::RequestState* r : rs) {
+    r->done.store(true, std::memory_order_release);
+  }
   {
     std::lock_guard<std::mutex> g(done_mu_);
   }
   done_cv_.notify_all();
-  if (r.on_done) r.on_done(r.status);
+  for (detail::RequestState* r : rs) {
+    if (r->on_done) r->on_done(r->status);
+  }
 }
 
 RequestHandle RequestScheduler::submit(const std::shared_ptr<Session>& session,
@@ -298,46 +306,73 @@ RequestHandle RequestScheduler::submit(const std::shared_ptr<Session>& session,
   return RequestHandle(std::move(st));
 }
 
-void RequestScheduler::execute_batch(
+int RequestScheduler::execute_window(
     int s, Session* session,
-    std::vector<std::shared_ptr<detail::RequestState>> reqs,
+    std::vector<std::shared_ptr<detail::RequestState>>& reqs,
     std::size_t pending_highwater) {
-  const int batch = static_cast<int>(reqs.size());
-  std::vector<detail::RequestState*> rp(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) rp[i] = reqs[i].get();
-
-  WallTimer exec_timer;
-  // One region for the whole batch, each request on its own lane (see
-  // run_batch_region). The session exec mutex keeps a stolen batch from
-  // racing the home dispatcher on the same lanes; it is uncontended in
-  // steady state.
+  std::vector<detail::RequestState*> runnable;
+  std::vector<detail::RequestState*> terminal;
+  std::vector<std::shared_ptr<detail::RequestState>> survivors;
+  runnable.reserve(reqs.size());
+  bool stepped = false;
+  double exec_us = 0.0;
+  // The session exec mutex guards lane hand-out and return as well as the
+  // lanes themselves: a stolen window never races the home dispatcher, and a
+  // sibling shard's window of this session waits on the mutex, not a lane.
   {
     std::lock_guard<std::mutex> lane_guard(session->exec_mutex());
-    // Per-request exception firewall: a poisoned request fails ITS OWN
-    // handle (status_from_exception) while its batch-mates complete
-    // normally — the exception never reaches the region boundary, so the
-    // pool-level firewall (which would fail the whole region) stays a
-    // backstop for bugs in this very loop.
+    for (auto& r : reqs) {
+      if (r->lane < 0) r->lane = session->acquire_lane();
+      if (r->lane < 0) continue;  // lane-starved: stays unadvanced
+      runnable.push_back(r.get());
+      stepped = stepped || r->steps_total > 1;
+    }
+    if (runnable.empty()) return 0;
+
+    // One region for the window, each request advancing ONE step on the
+    // lane it holds (see run_batch_region). Per-request exception firewall:
+    // a poisoned request fails ITS OWN handle (status_from_exception) while
+    // its window-mates carry on — the exception never reaches the region
+    // boundary, so the pool-level firewall (which would fail the whole
+    // region) stays a backstop for bugs in this very loop.
+    const int batch = static_cast<int>(runnable.size());
+    WallTimer exec_timer;
     const auto body = [&](int tid, int nthreads) {
       for (int i = tid; i < batch; i += nthreads) {
+        detail::RequestState& r = *runnable[static_cast<std::size_t>(i)];
         try {
-          session->run(i, rp[i]->in, rp[i]->out);
+          session->run_step(r.lane, r.in, r.out, r.step, r.step_tokens);
         } catch (const std::exception& e) {
-          rp[i]->status = status_from_exception(e);
+          r.status = status_from_exception(e);
         } catch (...) {
-          rp[i]->status = Status::Internal("unknown exception");
+          r.status = Status::Internal("unknown exception");
         }
       }
     };
     run_batch_region(s, shard_count(), *session, batch, body);
+    exec_us = exec_timer.micros();
+
+    // Triage: a failed step or a last step resolves the request and frees
+    // its lane (lane release is what re-opens admission under starvation);
+    // everything else — unfinished or lane-starved — survives, in order.
+    for (auto& r : reqs) {
+      const bool ran = r->lane >= 0;
+      if (ran && r->status.ok()) ++r->step;
+      if (!ran || (r->status.ok() && r->step < r->steps_total)) {
+        survivors.push_back(std::move(r));
+        continue;
+      }
+      session->release_lane(r->lane);
+      r->lane = -1;
+      terminal.push_back(r.get());
+    }
   }
-  const double exec_us = exec_timer.micros();
 
   const auto now = steady_clock::now();
   double sum_lat = 0.0, max_lat = 0.0;
   std::uint64_t n_ok = 0, n_failed = 0;
   std::string first_failure;
-  for (auto& r : reqs) {
+  for (detail::RequestState* r : terminal) {
     const double lat =
         std::chrono::duration<double, std::micro>(now - r->t_submit).count();
     r->latency_us = lat;  // before the release store: visible once done
@@ -363,123 +398,17 @@ void RequestScheduler::execute_batch(
     if (st.model.empty()) st.model = session->name();
     st.requests += n_ok;
     st.failed += n_failed;
-    st.batches += 1;
-    st.batched_requests_sum += static_cast<std::uint64_t>(batch);
+    (stepped ? st.decode_steps : st.batches) += 1;
+    (stepped ? st.decode_step_requests_sum : st.batched_requests_sum) +=
+        runnable.size();
     st.sum_latency_us += sum_lat;
     st.max_latency_us = std::max(st.max_latency_us, max_lat);
     st.sum_exec_us += exec_us;
     st.pending_highwater = std::max(st.pending_highwater, pending_highwater);
   }
-
-  for (auto& r : reqs) r->done.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> g(done_mu_);
-  }
-  done_cv_.notify_all();
-  for (auto& r : reqs) {
-    if (r->on_done) r->on_done(r->status);
-  }
-}
-
-std::vector<std::shared_ptr<detail::RequestState>>
-RequestScheduler::execute_steps(
-    int s, Session* session,
-    std::vector<std::shared_ptr<detail::RequestState>> reqs,
-    std::size_t pending_highwater) {
-  const int batch = static_cast<int>(reqs.size());
-  std::vector<detail::RequestState*> rp(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) rp[i] = reqs[i].get();
-
-  WallTimer exec_timer;
-  // One region per token window, sized to the requests in it: member t
-  // advances requests t, t + nthreads, ... by ONE step, each on the lane it
-  // holds across its whole lifetime (the lane's KV cache is the request's
-  // decode state). Same exec-mutex and per-request firewall rules as a
-  // monolithic batch.
-  {
-    std::lock_guard<std::mutex> lane_guard(session->exec_mutex());
-    const auto body = [&](int tid, int nthreads) {
-      for (int i = tid; i < batch; i += nthreads) {
-        try {
-          session->run_step(rp[i]->lane, rp[i]->in, rp[i]->out, rp[i]->step,
-                            rp[i]->step_tokens);
-        } catch (const std::exception& e) {
-          rp[i]->status = status_from_exception(e);
-        } catch (...) {
-          rp[i]->status = Status::Internal("unknown exception");
-        }
-      }
-    };
-    run_batch_region(s, shard_count(), *session, batch, body);
-  }
-  const double exec_us = exec_timer.micros();
-
-  // Triage: a failed step resolves the request (its lane is released, batch-
-  // mates keep decoding); a request whose last step just ran completes OK;
-  // everything else survives to be re-admitted at the front of its group.
-  const auto now = steady_clock::now();
-  std::vector<std::shared_ptr<detail::RequestState>> survivors;
-  std::vector<std::shared_ptr<detail::RequestState>> terminal;
-  survivors.reserve(reqs.size());
-  double sum_lat = 0.0, max_lat = 0.0;
-  std::uint64_t n_ok = 0, n_failed = 0;
-  std::string first_failure;
-  for (auto& r : reqs) {
-    if (!r->status.ok()) {
-      ++n_failed;
-      if (first_failure.empty()) first_failure = r->status.to_string();
-    } else if (r->step + 1 < r->steps_total) {
-      ++r->step;
-      survivors.push_back(std::move(r));
-      continue;
-    } else {
-      ++n_ok;
-    }
-    // Terminal either way: resolve latency, free the lane for waiting
-    // step-0 requests (lane release is what re-opens admission under
-    // starvation), defer the done store until stats are recorded.
-    const double lat =
-        std::chrono::duration<double, std::micro>(now - r->t_submit).count();
-    r->latency_us = lat;
-    if (r->status.ok()) {
-      sum_lat += lat;
-      max_lat = std::max(max_lat, lat);
-    }
-    if (r->lane >= 0) {
-      session->release_lane(r->lane);
-      r->lane = -1;
-    }
-    terminal.push_back(std::move(r));
-  }
-  if (n_failed > 0 && cfg_.quarantine) session->mark_unhealthy(first_failure);
-  completed_.fetch_add(n_ok, std::memory_order_relaxed);
-  failed_.fetch_add(n_failed, std::memory_order_relaxed);
-
-  {
-    std::lock_guard<std::mutex> g(stats_mu_);
-    ModelStats& st = stats_[session->name()];
-    if (st.model.empty()) st.model = session->name();
-    st.requests += n_ok;
-    st.failed += n_failed;
-    st.decode_steps += 1;
-    st.decode_step_requests_sum += static_cast<std::uint64_t>(batch);
-    st.sum_latency_us += sum_lat;
-    st.max_latency_us = std::max(st.max_latency_us, max_lat);
-    st.sum_exec_us += exec_us;
-    st.pending_highwater = std::max(st.pending_highwater, pending_highwater);
-  }
-
-  if (!terminal.empty()) {
-    for (auto& r : terminal) r->done.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> g(done_mu_);
-    }
-    done_cv_.notify_all();
-    for (auto& r : terminal) {
-      if (r->on_done) r->on_done(r->status);
-    }
-  }
-  return survivors;
+  if (!terminal.empty()) publish_done(terminal);
+  reqs = std::move(survivors);
+  return static_cast<int>(runnable.size());
 }
 
 void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
@@ -509,16 +438,40 @@ void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
   const auto class_of = [&](const detail::RequestState& r) {
     return cfg_.priority ? static_cast<std::size_t>(r.cls) : std::size_t{0};
   };
-  // Flushes ONE execution window (up to effective_batch requests) from the
-  // front of group p: one monolithic batch, or one token-window step region
-  // for a steppable session — whose unfinished survivors are pushed back to
-  // the FRONT so they keep their slots at the next token boundary. Returns
-  // false only when nothing moved (every lane held by in-flight requests
-  // elsewhere and no request expired).
+  // Expiry gate: a request whose deadline passed before its first step
+  // completes kDeadlineExceeded without running, its output buffer
+  // untouched. One past step 0 has partial output and a live lane, and
+  // always runs to completion. Returns true when r was resolved.
+  const auto expire_if_due = [&](detail::RequestState& r,
+                                 steady_clock::time_point now) {
+    if (r.step > 0 || !r.has_deadline || now < r.deadline) return false;
+    complete_terminal(r,
+                      Status::DeadlineExceeded("deadline passed while queued"));
+    return true;
+  };
+  // A group flushes once its front request is mid-stream (it holds a lane
+  // and must keep its slot at the next token boundary), once it fills a
+  // window, or once its oldest request — always the front one — has waited
+  // batch_usecs.
+  const auto batch_deadline = [&](const Pending& p) {
+    return p.reqs.front()->t_submit +
+           std::chrono::microseconds(cfg_.batch_usecs);
+  };
+  const auto ready = [&](Session* sess, const Pending& p,
+                         steady_clock::time_point now) {
+    return p.reqs.front()->step > 0 ||
+           static_cast<int>(p.reqs.size()) >= effective_batch(sess) ||
+           now >= batch_deadline(p);
+  };
+  // Runs ONE window (up to effective_batch requests) from the front of group
+  // p and pushes every request that is not terminal back to the FRONT, in
+  // order: mid-stream ones keep their slots at the next token boundary,
+  // lane-starved ones wait for a completion. Returns false only when
+  // nothing moved (every lane held by in-flight requests elsewhere and no
+  // request expired).
   const auto flush = [&](Pending& p) -> bool {
     if (p.reqs.empty()) return false;
     Session* sess = p.reqs.front()->session.get();
-    const std::size_t hw = p.highwater;
     const auto now = steady_clock::now();
     std::vector<std::shared_ptr<detail::RequestState>> take;
     bool progressed = false;
@@ -527,56 +480,22 @@ void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
       auto r = std::move(p.reqs.front());
       p.reqs.pop_front();
       --n_pending;
-      // Expire due requests at the last gate before execution: a request
-      // whose deadline passed while batched completes kDeadlineExceeded
-      // without running, its output buffer untouched. Only never-executed
-      // requests expire — one past step 0 has partial output and a live
-      // lane, and always runs to completion.
-      if (r->step == 0 && r->has_deadline && now >= r->deadline) {
-        complete_terminal(
-            *r, Status::DeadlineExceeded("deadline passed while queued"));
+      if (expire_if_due(*r, now)) {
         progressed = true;
         continue;
       }
-      if (r->steps_total > 1 && r->lane < 0) {
-        r->lane = sess->acquire_lane();
-        if (r->lane < 0) {
-          // Lane starvation: every lane is held by an in-flight request
-          // (possibly on another shard, via stealing). Put the request back
-          // and retry once a completion frees a lane.
-          p.reqs.push_front(std::move(r));
-          ++n_pending;
-          break;
-        }
-      }
       take.push_back(std::move(r));
     }
-    if (!p.reqs.empty()) p.oldest = p.reqs.front()->t_submit;
     if (take.empty()) return progressed;
-    if (take.front()->steps_total > 1) {
-      auto survivors = execute_steps(s, sess, std::move(take), hw);
-      for (auto it = survivors.rbegin(); it != survivors.rend(); ++it) {
-        p.reqs.push_front(std::move(*it));
-        ++n_pending;
-      }
-      if (!p.reqs.empty()) p.oldest = p.reqs.front()->t_submit;
-    } else {
-      execute_batch(s, sess, std::move(take), hw);
-    }
-    return true;
+    if (execute_window(s, sess, take, p.highwater) > 0) progressed = true;
+    p.reqs.insert(p.reqs.begin(), std::make_move_iterator(take.begin()),
+                  std::make_move_iterator(take.end()));
+    n_pending += take.size();
+    return progressed;
   };
   const auto admit = [&](std::shared_ptr<detail::RequestState> r) {
-    // Only never-executed requests can expire here: a stepped request handed
-    // back through the queue by a replaced dispatcher is past step 0, holds
-    // a live lane and always runs to completion.
-    if (r->step == 0 && r->has_deadline && steady_clock::now() >= r->deadline) {
-      complete_terminal(
-          *r, Status::DeadlineExceeded("deadline passed while queued"));
-      return;
-    }
-    Session* sess = r->session.get();
-    Pending& p = pending[class_of(*r)][sess];
-    if (p.reqs.empty()) p.oldest = r->t_submit;
+    if (expire_if_due(*r, steady_clock::now())) return;
+    Pending& p = pending[class_of(*r)][r->session.get()];
     p.reqs.push_back(std::move(r));
     ++n_pending;
     p.highwater = std::max(p.highwater, p.reqs.size());
@@ -642,7 +561,6 @@ void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
                     return r == nullptr;
                   }),
               q.end());
-      if (!q.empty()) entry.second.oldest = q.front()->t_submit;
     }
     n_pending -= n_shed;
   };
@@ -655,7 +573,7 @@ void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
       for (auto& per_class : pending) {
         for (auto& entry : per_class) {
           if (!entry.second.reqs.empty()) {
-            oldest = std::min(oldest, entry.second.oldest);
+            oldest = std::min(oldest, entry.second.reqs.front()->t_submit);
           }
         }
       }
@@ -719,22 +637,21 @@ void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
         }
         for (auto& entry : pending[ci]) {
           Pending& p = entry.second;
-          if (p.reqs.empty() || is_starved(entry.first)) continue;
-          const bool ready =
-              p.reqs.front()->step > 0 ||
-              static_cast<int>(p.reqs.size()) >= effective_batch(entry.first) ||
-              now >= p.oldest + std::chrono::microseconds(cfg_.batch_usecs);
-          if (!ready) continue;
+          if (p.reqs.empty() || is_starved(entry.first) ||
+              !ready(entry.first, p, now)) {
+            continue;
+          }
           auto ddl = steady_clock::time_point::max();
           for (const auto& r : p.reqs) {
             if (r->has_deadline) ddl = std::min(ddl, r->deadline);
           }
+          const auto old = p.reqs.front()->t_submit;
           if (best == nullptr || ddl < best_ddl ||
-              (ddl == best_ddl && p.oldest < best_old)) {
+              (ddl == best_ddl && old < best_old)) {
             best = &p;
             best_sess = entry.first;
             best_ddl = ddl;
-            best_old = p.oldest;
+            best_old = old;
           }
         }
       }
@@ -901,33 +818,19 @@ void RequestScheduler::dispatcher_main(int s, std::uint64_t my_gen) {
     for (auto& per_class : pending) {
       for (auto& entry : per_class) {
         Pending& p = entry.second;
+        const std::size_t before = p.reqs.size();
+        p.reqs.erase(
+            std::remove_if(p.reqs.begin(), p.reqs.end(),
+                           [&](const std::shared_ptr<detail::RequestState>& r) {
+                             return expire_if_due(*r, now);
+                           }),
+            p.reqs.end());
+        n_pending -= before - p.reqs.size();
         if (p.reqs.empty()) continue;
-        std::size_t w = 0;
-        for (std::size_t i = 0; i < p.reqs.size(); ++i) {
-          if (p.reqs[i]->step == 0 && p.reqs[i]->has_deadline &&
-              now >= p.reqs[i]->deadline) {
-            complete_terminal(
-                *p.reqs[i],
-                Status::DeadlineExceeded("deadline passed while queued"));
-            --n_pending;
-          } else {
-            if (w != i) p.reqs[w] = std::move(p.reqs[i]);
-            ++w;
-          }
-        }
-        p.reqs.resize(w);
-        if (p.reqs.empty()) continue;
-        p.oldest = p.reqs.front()->t_submit;
-        const auto batch_deadline =
-            p.oldest + std::chrono::microseconds(cfg_.batch_usecs);
-        const bool ready =
-            p.reqs.front()->step > 0 ||
-            static_cast<int>(p.reqs.size()) >= effective_batch(entry.first) ||
-            batch_deadline <= now;
-        if (ready) {
+        if (ready(entry.first, p, now)) {
           earliest = std::min(earliest, now + std::chrono::microseconds(200));
         } else {
-          earliest = std::min(earliest, batch_deadline);
+          earliest = std::min(earliest, batch_deadline(p));
           for (const auto& r : p.reqs) {
             if (r->has_deadline) earliest = std::min(earliest, r->deadline);
           }

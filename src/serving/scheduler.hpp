@@ -17,15 +17,17 @@
 // determinism invariant is untouched. PLT_SERVE_PRIORITY=0 restores strict
 // class-blind FIFO grouping.
 //
-// Continuous batching. A steppable session (the LLM family) executes as
-// step_count() resumable regions instead of one monolithic run(): step 0
-// prefills into the request's exclusively-held lane, every later step
-// decodes PLT_SERVE_DECODE_STEP_TOKENS tokens against that lane's live KV
-// cache. After every step the dispatcher re-admits unfinished requests to
-// the FRONT of their session's pending group and re-drains the admission
-// queue — so a request submitted mid-stream joins the running decode batch
-// at the next token boundary instead of waiting gen_tokens steps behind it.
-// The step sequence on one lane is bitwise-identical to a monolithic run.
+// One request lifecycle (continuous batching). Every request runs as
+// steps_total >= 1 windows and holds one session lane from its first
+// window to its terminal status. A steppable session (the LLM family)
+// prefills in step 0 and decodes PLT_SERVE_DECODE_STEP_TOKENS tokens per
+// later step against the lane's live KV cache; any other session is the
+// 1-step case. After every window the dispatcher puts unfinished requests
+// back at the FRONT of their session's pending group and re-drains the
+// admission queue — so a request submitted mid-stream joins the running
+// decode batch at the next token boundary instead of waiting gen_tokens
+// steps behind it. The step sequence on one lane is bitwise-identical to a
+// monolithic run.
 //
 // Sharding. The scheduler is partitioned like the pool it dispatches onto:
 // one admission queue + one dispatcher thread per shard (auto = one per pool
@@ -35,21 +37,23 @@
 // executes each batch with run_on(partition) — so batches of sessions on
 // different partitions run CONCURRENTLY on disjoint sub-teams instead of
 // serializing one whole-team region at a time. An idle shard (empty queue,
-// nothing pending) steals requests from its siblings' queues; stolen batches
+// nothing pending) steals requests from its siblings' queues; stolen windows
 // execute on the thief's partition and are counted per partition
-// (ThreadPool::note_steal). Per-session batches are serialized by the
-// session's exec mutex, so a stolen batch never races the home dispatcher on
-// the same lanes. With one shard the layout and execution path reduce
-// exactly to the pre-sharding scheduler (one queue, one region per batch).
+// (ThreadPool::note_steal). Per-session windows are serialized by the
+// session's exec mutex, so a stolen window never races the home dispatcher
+// on the same lanes. With one shard the layout and execution path reduce
+// exactly to the pre-sharding scheduler (one queue, one region per window).
 //
-// A batch executes as one region on the persistent pool, sized to the
-// batch: min(batch, team) members, member t running requests t,
-// t+nthreads, ... each on its own session lane. Team members with no
-// request are neither woken nor waited for, and a batch of one on partition
-// 0 runs on the dispatcher thread with no wake-up at all. Every PARLOOPER
-// nest inside a request degrades to a serial walk (nested-region rule), so
-// the per-batch dispatch cost is at most one epoch bump plus one wake per
-// parked member — no per-request OpenMP region spawn, ever.
+// A window executes as one region on the persistent pool, sized to it:
+// min(window, team) members, member t advancing requests t, t+nthreads, ...
+// by one step each on its own lane. Lanes are taken and given back under
+// the session exec mutex, so 1-step requests hold theirs only while their
+// window runs. Team members with no request are neither woken nor waited
+// for, and a window of one on partition 0 runs on the dispatcher thread
+// with no wake-up at all. Every PARLOOPER nest inside a request degrades to
+// a serial walk (nested-region rule), so the per-window dispatch cost is at
+// most one epoch bump plus one wake per parked member — no per-request
+// OpenMP region spawn, ever.
 //
 // Determinism: a lane is a full model replica seeded identically to every
 // other lane, and a serial nest walk is bitwise-equal to a parallel one
@@ -181,10 +185,10 @@ struct ModelStats {
   std::uint64_t expired = 0;   // deadline passed while queued (kDeadlineExceeded)
   std::uint64_t shed = 0;      // admission shed (kResourceExhausted)
   std::uint64_t rejected = 0;  // refused at submit (kUnavailable)
-  std::uint64_t batches = 0;               // monolithic regions
-  std::uint64_t batched_requests_sum = 0;  // sum of monolithic batch sizes
-  std::uint64_t decode_steps = 0;          // stepped regions (token windows)
-  std::uint64_t decode_step_requests_sum = 0;  // sum of stepped occupancies
+  std::uint64_t batches = 0;               // windows of 1-step requests
+  std::uint64_t batched_requests_sum = 0;  // sum of their sizes
+  std::uint64_t decode_steps = 0;  // windows with a multi-step request
+  std::uint64_t decode_step_requests_sum = 0;  // sum of their occupancies
   double sum_latency_us = 0.0;             // submit -> completion
   double max_latency_us = 0.0;
   double sum_exec_us = 0.0;                // batch execution wall time
@@ -220,10 +224,10 @@ struct RequestState {
   bool has_deadline = false;
   bool admitted = false;     // false: refused/shed at submit (ok() is false)
   RequestClass cls = RequestClass::kThroughput;  // resolved at submit
-  // Continuous batching (dispatcher-owned, only ever touched by the shard
+  // Request lifecycle (dispatcher-owned, only ever touched by the shard
   // that holds the request): completed steps, total steps at the request's
   // decode granularity (1 = monolithic), and the exclusively-held session
-  // lane for steps_total > 1 (-1 until acquired before step 0). step_tokens
+  // lane (-1 until its first window, and again once terminal). step_tokens
   // is resolved at submit — normally the scheduler's configured granularity,
   // halved under brownout — and stays fixed for the request's lifetime so
   // its step accounting is self-consistent.
@@ -393,13 +397,12 @@ class RequestScheduler {
   }
 
  private:
-  // One same-session micro-batch group. A deque because continuous batching
-  // re-admits unfinished stepped requests at the FRONT (they own lanes and
-  // must keep their batch slots at the next token boundary) while new
-  // arrivals append at the back.
+  // One same-session micro-batch group. A deque because every request a
+  // window leaves unfinished goes back to the FRONT (a mid-stream one holds
+  // its lane and keeps its slot at the next token boundary) while new
+  // arrivals append at the back. The front request is the group's oldest.
   struct Pending {
     std::deque<std::shared_ptr<detail::RequestState>> reqs;
-    std::chrono::steady_clock::time_point oldest;
     std::size_t highwater = 0;
   };
 
@@ -446,17 +449,19 @@ class RequestScheduler {
   };
 
   void dispatcher_main(int s, std::uint64_t generation);
-  void execute_batch(int s, Session* session,
-                     std::vector<std::shared_ptr<detail::RequestState>> reqs,
+  // Runs ONE window of `reqs` (same session) as one region. Under the
+  // session exec mutex, every request without a lane takes one; each that
+  // holds a lane advances one step on it, and one whose step failed or was
+  // its last releases its lane and is resolved. Leaves the rest in `reqs`,
+  // in order: unfinished ones and lane-starved ones (unadvanced) — the
+  // dispatcher puts them back at the front of their pending group. Returns
+  // how many requests ran (0: the whole window was lane-starved).
+  int execute_window(int s, Session* session,
+                     std::vector<std::shared_ptr<detail::RequestState>>& reqs,
                      std::size_t pending_highwater);
-  // Runs ONE resumable step for every request in `reqs` as one region (each
-  // on its own sticky lane), resolves the ones that finished or failed, and
-  // returns the unfinished survivors in order — the dispatcher re-admits
-  // them to the front of their pending group.
-  std::vector<std::shared_ptr<detail::RequestState>> execute_steps(
-      int s, Session* session,
-      std::vector<std::shared_ptr<detail::RequestState>> reqs,
-      std::size_t pending_highwater);
+  // Publishes terminal requests: done (release), one done_cv_ notify for
+  // all of them, then each on_done.
+  void publish_done(const std::vector<detail::RequestState*>& rs);
   void wake_shard(Shard& shard);
   int shard_of(Session* session);
   // Resolves a never-executed request: sets its terminal status + latency,

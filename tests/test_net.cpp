@@ -1283,6 +1283,8 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
   cfg.shards = 2;
   serving::ModelRegistry reg;
   reg.add(serving::make_mlp_session("mlp", tiny_mlp(), 4, 7));
+  auto blocker = std::make_shared<BlockingSession>("blocker");
+  reg.add(blocker);
   serving::RequestScheduler sched(cfg);
   Server server(reg, sched, ServerConfig{});
   ASSERT_TRUE(server.start().ok());
@@ -1315,7 +1317,17 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
   }
 
   // Draining servers still answer probes — that is how an orchestrator
-  // watches the flush — with the flag set.
+  // watches the flush — with the flag set. A drain with nothing in flight
+  // completes at once and closes every connection, so one request is held
+  // in flight on a second connection until the probes are done.
+  Client busy;
+  ASSERT_TRUE(busy.connect("127.0.0.1", server.port()).ok());
+  RequestFrame held;
+  held.request_id = 2;
+  held.name = "blocker";
+  held.payload = {1, 2, 3, 4};
+  ASSERT_TRUE(busy.send_request(held).ok());
+  blocker->await_entered();
   server.begin_drain();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -1329,6 +1341,11 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(saw_draining);
+
+  blocker->release();
+  ASSERT_TRUE(busy.recv_response(&resp).ok());
+  EXPECT_EQ(resp.request_id, 2u);
+  EXPECT_EQ(resp.code, WireCode::kOk) << resp.message;
 
   server.stop();
   sched.shutdown();

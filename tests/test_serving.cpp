@@ -25,6 +25,7 @@
 #include "serving/model_registry.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/session.hpp"
+#include "test_utils.hpp"
 
 namespace plt::serving {
 namespace {
@@ -440,6 +441,7 @@ TEST(Scheduler, StealingDrainsABackloggedSiblingCorrectly) {
   EXPECT_EQ(sched.steals(0), 0u);
   EXPECT_LE(sched.steals(1), static_cast<std::uint64_t>(kReqs));
   sched.shutdown();
+  test::expect_all_lanes_free(*s);
 }
 
 TEST(Scheduler, DisabledStealingKeepsWorkOnTheHomeShard) {
@@ -1438,6 +1440,75 @@ TEST(SchedulerDecode, SteppedMatchesMonolithicBitwise) {
   }
 }
 
+// Brownout halves the decode window of new submits, so one pending group
+// holds 1-step requests (admitted before the brownout) next to 2-step ones
+// (admitted during it), and windows mix them. Each request must still take
+// its own lane, give it back when it resolves, and decode bitwise-equal to a
+// sequential run.
+TEST(SchedulerDecode, MixedStepCountWindowReleasesEveryLane) {
+  auto llm = make_llm_session("llm_mixed_window", tiny_llm(),
+                              /*prompt_len=*/4, /*gen_tokens=*/4,
+                              /*lanes=*/4, 53);
+  constexpr int kInputs = 4;
+  constexpr int kWave = 401;
+  std::vector<std::vector<float>> ins, want;
+  for (int i = 0; i < kInputs; ++i) {
+    ins.push_back(make_input(*llm, 900 + static_cast<std::uint64_t>(i)));
+    want.emplace_back(static_cast<std::size_t>(llm->output_elems()));
+    llm->run(0, ins.back().data(), want.back().data());
+  }
+
+  SchedulerConfig cfg;
+  cfg.shards = 1;
+  cfg.decode_step_tokens = 4;  // gen_tokens = 4: one step, two in brownout
+  cfg.target_delay_usecs = 1;
+  RequestScheduler sched(cfg);
+  std::vector<std::vector<float>> outs(
+      2 * kWave,
+      std::vector<float>(static_cast<std::size_t>(llm->output_elems())));
+  std::vector<RequestHandle> hs;
+  const auto submit_wave = [&] {
+    for (int i = 0; i < kWave; ++i) {
+      const std::size_t k = hs.size();
+      Request req;
+      req.in = ins[k % kInputs].data();
+      req.out = outs[k].data();
+      hs.push_back(sched.submit(llm, req));
+    }
+  };
+  submit_wave();
+  const auto t0 = std::chrono::steady_clock::now();
+  while (sched.overload_level(0) < 1 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(30)) {
+    std::this_thread::yield();
+  }
+  submit_wave();
+
+  std::uint64_t ok = 0;
+  for (std::size_t k = 0; k < hs.size(); ++k) {
+    hs[k].wait();
+    ASSERT_TRUE(hs[k].done());
+    if (!hs[k].status().ok()) continue;
+    ++ok;
+    EXPECT_EQ(0, std::memcmp(want[k % kInputs].data(), outs[k].data(),
+                             outs[k].size() * sizeof(float)))
+        << "request " << k;
+  }
+  sched.shutdown();
+
+  EXPECT_GE(sched.overload_brownouts(), 1u);
+  const auto stats = sched.stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_GT(stats[0].batches, 0u);       // 1-step windows ran
+  EXPECT_GT(stats[0].decode_steps, 0u);  // and windows with 2-step requests
+  const auto c = sched.counters();
+  EXPECT_EQ(c.submitted, hs.size());
+  EXPECT_EQ(c.completed, ok);
+  EXPECT_EQ(c.completed + c.failed + c.expired + c.shed + c.rejected,
+            c.submitted);
+  test::expect_all_lanes_free(*llm);
+}
+
 // Chaos with stepped requests in flight: exact terminal accounting and
 // bitwise-correct OK outputs must survive faults that fire mid-decode.
 TEST(SchedulerChaos, SteppedRequestsKeepExactAccountingUnderFaults) {
@@ -1515,6 +1586,7 @@ TEST(SchedulerChaos, SteppedRequestsKeepExactAccountingUnderFaults) {
     for (const auto& st : sched.stats()) {
       if (st.model == "llm_chaos_step") EXPECT_GT(st.decode_steps, 0u);
     }
+    for (const auto& sess : sessions) test::expect_all_lanes_free(*sess);
   }
   fault::reset();
 }

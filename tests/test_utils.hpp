@@ -60,4 +60,19 @@ inline std::vector<float> to_f32(const std::vector<bf16>& v) {
   return out;
 }
 
+// Asserts every lane of a serving session is free, as a scheduler must
+// leave it once it has shut down: each request gives back the lane it took.
+// A template so this header stays independent of the serving layer.
+template <typename SessionT>
+void expect_all_lanes_free(SessionT& session) {
+  std::vector<int> taken;
+  for (int lane = session.acquire_lane(); lane >= 0;
+       lane = session.acquire_lane()) {
+    taken.push_back(lane);
+  }
+  for (const int lane : taken) session.release_lane(lane);
+  EXPECT_EQ(taken.size(), static_cast<std::size_t>(session.lanes()))
+      << session.name() << ": lanes free out of " << session.lanes();
+}
+
 }  // namespace plt::test

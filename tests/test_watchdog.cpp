@@ -20,6 +20,7 @@
 #include "serving/scheduler.hpp"
 #include "serving/session.hpp"
 #include "serving/watchdog.hpp"
+#include "test_utils.hpp"
 
 namespace plt::serving {
 namespace {
@@ -216,6 +217,8 @@ TEST(Watchdog, StallEscalatesToFailoverAndRestartWithExactAccounting) {
   EXPECT_EQ(c.completed + c.failed + c.expired + c.shed + c.rejected,
             c.submitted);
   EXPECT_EQ(c.completed, handles.size());  // nothing was lost OR failed
+  test::expect_all_lanes_free(*a);
+  test::expect_all_lanes_free(*b);
 }
 
 TEST(Watchdog, QuarantinedShardReroutesNewAdmissions) {
@@ -291,6 +294,7 @@ TEST(Watchdog, RestartingHealthyDispatcherIsLossless) {
   EXPECT_EQ(c.completed, ok);
   EXPECT_EQ(c.completed + c.failed + c.expired + c.shed + c.rejected,
             c.submitted);
+  test::expect_all_lanes_free(*s);
 }
 
 // Delay-gradient overload control: a single slow shard under a burst far
