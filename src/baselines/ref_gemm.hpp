@@ -1,5 +1,5 @@
-// Vendor-library substitutes for the paper's GEMM comparisons (oneDNN /
-// AOCL / TVM / Mojo stand-ins — see DESIGN.md "Substitutions").
+// Vendor-library substitutes for the paper's GEMM comparisons: in-repo
+// stand-ins for oneDNN / AOCL / TVM / Mojo, which are not dependencies.
 //
 // Three tiers, all correct, differing only in schedule quality:
 //   * naive_gemm           — textbook triple loop (lower bound)

@@ -27,7 +27,7 @@ struct CpuFeatures {
   bool avx512vl = false;
   bool avx512dq = false;
   bool avx512_bf16 = false;
-  bool amx_bf16 = false;   // detected but not targeted (see DESIGN.md)
+  bool amx_bf16 = false;   // detected only: no kernel targets AMX tiles yet
   int logical_cores = 1;
   std::string brand;
 };

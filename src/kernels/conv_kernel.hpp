@@ -32,9 +32,11 @@ struct ConvConfig {
   std::int64_t w_step = 0;       // output pixels per BRGEMM call (0 => Q)
   std::int64_t c_step = 0;       // channel blocks folded per call (0 => Cb)
   DType dtype = DType::F32;
-  // Default: parallel over (minibatch x output-channel) blocks, everything
-  // else sequential inside — safe for any schedule.
-  std::string loop_spec = "ACdebfg";
+  // Default: parallel over (minibatch x output-channel block x output row),
+  // everything else sequential inside — safe for any schedule, since each
+  // output row block has one owner for the whole channel-block reduction.
+  // Including the rows keeps every thread busy at minibatch 1.
+  std::string loop_spec = "ACDebfg";
   parlooper::Backend backend = parlooper::Backend::kAuto;
 
   std::int64_t P() const { return (H + 2 * pad_h - R) / stride_h + 1; }
@@ -55,6 +57,7 @@ class ConvKernel {
   ConvKernel with_spec(const std::string& loop_spec) const;
 
   const ConvConfig& config() const { return cfg_; }
+  const parlooper::LoopNest& loop() const { return *loop_; }
   double flops() const {
     return 2.0 * static_cast<double>(cfg_.N) * cfg_.K * cfg_.P() * cfg_.Q() *
            cfg_.C * cfg_.R * cfg_.S;

@@ -35,13 +35,14 @@ MlpKernel::MlpKernel(MlpConfig cfg) : cfg_(cfg) {
                                       : tpp::UnaryKind::kRelu,
         cfg_.bm, cfg_.bn, cfg_.dtype, cfg_.dtype);
   }
-  // Staging: a C-layout and a B-layout buffer per intermediate activation.
+  // Staging: a C-layout buffer per intermediate activation, plus a B-layout
+  // one when the two layouts differ.
   const std::size_t esz = dtype_size(cfg_.dtype);
   for (std::size_t l = 0; l + 2 < cfg_.sizes.size(); ++l) {
     const std::size_t elems =
         static_cast<std::size_t>(cfg_.sizes[l + 1]) * static_cast<std::size_t>(cfg_.N);
-    staging_.emplace_back(elems * esz);  // C stage of layer l
-    staging_.emplace_back(elems * esz);  // B stage feeding layer l+1
+    c_stage_.emplace_back(elems * esz);
+    if (cfg_.bm != cfg_.bk) b_stage_.emplace_back(elems * esz);
   }
 }
 
@@ -83,27 +84,29 @@ void MlpKernel::run(const void* input, const std::vector<const void*>& weights,
 
   const void* cur_b = input;
   for (std::int64_t l = 0; l < L; ++l) {
-    void* c_out = l == L - 1 ? output
-                             : static_cast<void*>(
-                                   staging_[static_cast<std::size_t>(2 * l)].data());
-    const GemmKernel& gemm = layers_[static_cast<std::size_t>(l)];
-    const tpp::BinaryTPP& bias_tpp = bias_tpps_[static_cast<std::size_t>(l)];
-    const tpp::UnaryTPP& act_tpp = act_tpps_[static_cast<std::size_t>(l)];
-    const float* bias = cfg_.with_bias ? biases[static_cast<std::size_t>(l)] : nullptr;
+    const std::size_t li = static_cast<std::size_t>(l);
+    void* c_out = l == L - 1 ? output : static_cast<void*>(c_stage_[li].data());
+    const GemmKernel& gemm = layers_[li];
+    const tpp::BinaryTPP& bias_tpp = bias_tpps_[li];
+    const tpp::UnaryTPP& act_tpp = act_tpps_[li];
+    const float* bias = cfg_.with_bias ? biases[li] : nullptr;
     const std::int64_t bm = cfg_.bm;
     const bool apply_act = cfg_.act != Activation::kNone;
 
     gemm.run_with_epilogue(
-        weights[static_cast<std::size_t>(l)], cur_b, c_out,
+        weights[li], cur_b, c_out,
         [&](std::int64_t im, std::int64_t /*in*/, void* c_block) {
           if (bias != nullptr) bias_tpp(bias + im * bm, c_block, c_block);
           if (apply_act) act_tpp(c_block, c_block);
         });
 
     if (l < L - 1) {
-      void* b_stage = staging_[static_cast<std::size_t>(2 * l + 1)].data();
-      c_to_b(l, c_out, b_stage);
-      cur_b = b_stage;
+      if (b_stage_.empty()) {
+        cur_b = c_out;
+      } else {
+        c_to_b(l, c_out, b_stage_[li].data());
+        cur_b = b_stage_[li].data();
+      }
     }
   }
 }

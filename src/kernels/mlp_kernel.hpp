@@ -49,6 +49,8 @@ class MlpKernel {
 
   // Converts a layer-l C activation (C[Nb][Mb][bn][bm], feature dim M =
   // sizes[l+1]) into the next layer's B layout (B[Nb][Kb][bn][bk], K = M).
+  // run() only relayouts when bm != bk: with bm == bk the two layouts are the
+  // same array, and layer l+1 reads layer l's C stage directly.
   void c_to_b(std::int64_t l, const void* c_act, void* b_act) const;
 
  private:
@@ -56,7 +58,10 @@ class MlpKernel {
   std::vector<GemmKernel> layers_;
   std::vector<tpp::BinaryTPP> bias_tpps_;   // per layer: bias add (col bcast)
   std::vector<tpp::UnaryTPP> act_tpps_;     // per layer activation
-  mutable std::vector<AlignedBuffer<std::uint8_t>> staging_;  // C and B stage
+  // Per intermediate activation: the C stage layer l writes, and (bm != bk
+  // only) the B stage layer l+1 reads.
+  mutable std::vector<AlignedBuffer<std::uint8_t>> c_stage_;
+  mutable std::vector<AlignedBuffer<std::uint8_t>> b_stage_;
 };
 
 }  // namespace plt::kernels

@@ -1,5 +1,6 @@
 #include "tpp/brgemm.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -51,6 +52,24 @@ float* scratch_tile(std::size_t elems) {
   return buf.data();
 }
 
+// Hands the batch to the microkernel as pointer arrays, in stack chunks of
+// kChunk pairs; every chunk after the first accumulates onto the previous.
+template <typename T, typename Micro, typename NextA, typename NextB>
+void reduce_batch(Micro micro, const detail::MicroArgs& args, NextA& next_a,
+                  NextB& next_b, std::int64_t brcount, float* c, bool acc) {
+  constexpr std::int64_t kChunk = 64;
+  const T* a[kChunk];
+  const T* b[kChunk];
+  for (std::int64_t i0 = 0; i0 < brcount; i0 += kChunk) {
+    const std::int64_t count = std::min(kChunk, brcount - i0);
+    for (std::int64_t i = 0; i < count; ++i) {
+      a[i] = static_cast<const T*>(next_a(i0 + i));
+      b[i] = static_cast<const T*>(next_b(i0 + i));
+    }
+    micro(args, a, b, count, c, acc || i0 > 0);
+  }
+}
+
 }  // namespace
 
 BrgemmTPP::BrgemmTPP(BrgemmDesc desc) : desc_(desc) {
@@ -74,6 +93,17 @@ BrgemmTPP::BrgemmTPP(BrgemmDesc desc) : desc_(desc) {
                       ? pick_bf16_vnni_micro()
                       : detail::gemm_bf16_flat_ref;
   }
+  if (desc_.c == DType::BF16) {
+    to_bf16_ = detail::f32_to_bf16_ref;
+    from_bf16_ = detail::bf16_to_f32_ref;
+#if defined(PLT_KERNELS_AVX512)
+    if (static_cast<int>(effective_isa()) >=
+        static_cast<int>(IsaLevel::kAVX512)) {
+      to_bf16_ = detail::f32_to_bf16_avx512;
+      from_bf16_ = detail::bf16_to_f32_avx512;
+    }
+#endif
+  }
 }
 
 BrgemmTPP::BrgemmTPP(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -86,8 +116,8 @@ BrgemmTPP::BrgemmTPP(std::int64_t m, std::int64_t n, std::int64_t k,
 template <typename NextA, typename NextB>
 void BrgemmTPP::run_generic(NextA&& next_a, NextB&& next_b, void* c,
                             std::int64_t brcount) const {
-  const detail::MicroArgs args{desc_.m, desc_.n, desc_.k,
-                               desc_.lda, desc_.ldb, desc_.ldc};
+  detail::MicroArgs args{desc_.m, desc_.n, desc_.k,
+                         desc_.lda, desc_.ldb, desc_.ldc};
   const bool c_is_bf16 = desc_.c == DType::BF16;
 
   if (brcount <= 0) {
@@ -107,42 +137,31 @@ void BrgemmTPP::run_generic(NextA&& next_a, NextB&& next_b, void* c,
     return;
   }
 
-  float* cacc = nullptr;
-  std::int64_t ldc_acc = desc_.ldc;
+  float* cacc = static_cast<float*>(c);
+  bf16* cp = static_cast<bf16*>(c);
   if (c_is_bf16) {
     cacc = scratch_tile(static_cast<std::size_t>(desc_.m) * desc_.n);
-    ldc_acc = desc_.m;
-    const bf16* cp = static_cast<const bf16*>(c);
+    args.ldc = desc_.m;
     if (desc_.beta == 1.0f) {
       for (std::int64_t j = 0; j < desc_.n; ++j)
-        for (std::int64_t i = 0; i < desc_.m; ++i)
-          cacc[i + j * ldc_acc] = cp[i + j * desc_.ldc].to_f32();
+        from_bf16_(cp + j * desc_.ldc, cacc + j * desc_.m, desc_.m);
     }
-  } else {
-    cacc = static_cast<float*>(c);
   }
 
-  detail::MicroArgs acc_args = args;
-  acc_args.ldc = ldc_acc;
-
-  for (std::int64_t i = 0; i < brcount; ++i) {
-    // The first term overwrites when beta==0 (for bf16 C the scratch tile is
-    // only pre-seeded when beta==1, so the same rule applies to it).
-    const bool acc = (i > 0) || desc_.beta == 1.0f;
-    if (f32_micro_ != nullptr) {
-      f32_micro_(acc_args, static_cast<const float*>(next_a(i)),
-                 static_cast<const float*>(next_b(i)), cacc, acc);
-    } else {
-      bf16_micro_(acc_args, static_cast<const bf16*>(next_a(i)),
-                  static_cast<const bf16*>(next_b(i)), cacc, acc);
-    }
+  // The first term overwrites when beta==0 (for bf16 C the scratch tile is
+  // only pre-seeded when beta==1, so the same rule applies to it).
+  const bool acc = desc_.beta == 1.0f;
+  if (f32_micro_ != nullptr) {
+    reduce_batch<float>(f32_micro_, args, next_a, next_b, brcount, cacc,
+                        acc);
+  } else {
+    reduce_batch<bf16>(bf16_micro_, args, next_a, next_b, brcount, cacc,
+                       acc);
   }
 
   if (c_is_bf16) {
-    bf16* cp = static_cast<bf16*>(c);
     for (std::int64_t j = 0; j < desc_.n; ++j)
-      for (std::int64_t i = 0; i < desc_.m; ++i)
-        cp[i + j * desc_.ldc] = bf16::from_f32(cacc[i + j * ldc_acc]);
+      to_bf16_(cacc + j * desc_.m, cp + j * desc_.ldc, desc_.m);
   }
 }
 

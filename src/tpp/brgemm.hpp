@@ -4,9 +4,14 @@
 //   C = beta * C + sum_{i=0}^{brcount-1} A_i x B_i
 //
 // with the three address-generation variants of the paper: stride-based,
-// address-based and offset-based. bf16 inputs accumulate in fp32; when C is
-// stored in bf16 a per-thread fp32 scratch tile carries the accumulation
-// across the whole batch and is converted once at the end.
+// address-based and offset-based. Every variant gathers the batch's A_i/B_i
+// addresses into pointer arrays (fixed-size stack chunks) and hands each
+// chunk to one microkernel call, which keeps its C register blocks in
+// registers across the chunk (see gemm_micro.hpp for the per-ISA blocks).
+// bf16 inputs accumulate in fp32; when C is stored in bf16 a per-thread fp32
+// scratch tile carries the accumulation across the whole batch, converted
+// from and to bf16 once per call with vector code that rounds exactly like
+// bf16::from_f32.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +59,8 @@ class BrgemmTPP {
   BrgemmDesc desc_;
   detail::F32Micro f32_micro_ = nullptr;
   detail::Bf16Micro bf16_micro_ = nullptr;
+  detail::ToBf16 to_bf16_ = nullptr;      // set when C is bf16
+  detail::FromBf16 from_bf16_ = nullptr;
 };
 
 // Plain GEMM TPP: C = beta * C + A x B. Thin wrapper over a brcount=1

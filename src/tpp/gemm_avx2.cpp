@@ -3,6 +3,7 @@
 //
 // Register blocking: 8-wide m vectors (ymm) x 4 accumulators in n — the
 // classic 2D register-blocking strategy of [21] scaled to 16 ymm registers.
+// The accumulators stay in registers across the whole batch.
 #include "tpp/gemm_micro.hpp"
 
 #include <immintrin.h>
@@ -19,8 +20,9 @@ __m256i tail_mask(std::int64_t rem) {
 }
 
 template <int NB>
-void block_n(const MicroArgs& s, const float* a, const float* b, float* c,
-             bool acc, std::int64_t j0) {
+void block_n(const MicroArgs& s, const float* const* a,
+             const float* const* b, std::int64_t brcount, float* c, bool acc,
+             std::int64_t j0) {
   const std::int64_t m_full = s.m & ~std::int64_t(7);
   for (std::int64_t i = 0; i < m_full; i += 8) {
     __m256 accv[NB];
@@ -28,11 +30,14 @@ void block_n(const MicroArgs& s, const float* a, const float* b, float* c,
       accv[jj] = acc ? _mm256_loadu_ps(c + i + (j0 + jj) * s.ldc)
                      : _mm256_setzero_ps();
     }
-    for (std::int64_t kk = 0; kk < s.k; ++kk) {
-      const __m256 av = _mm256_loadu_ps(a + i + kk * s.lda);
-      for (int jj = 0; jj < NB; ++jj) {
-        const __m256 bv = _mm256_broadcast_ss(b + kk + (j0 + jj) * s.ldb);
-        accv[jj] = _mm256_fmadd_ps(av, bv, accv[jj]);
+    for (std::int64_t br = 0; br < brcount; ++br) {
+      for (std::int64_t kk = 0; kk < s.k; ++kk) {
+        const __m256 av = _mm256_loadu_ps(a[br] + i + kk * s.lda);
+        for (int jj = 0; jj < NB; ++jj) {
+          const __m256 bv =
+              _mm256_broadcast_ss(b[br] + kk + (j0 + jj) * s.ldb);
+          accv[jj] = _mm256_fmadd_ps(av, bv, accv[jj]);
+        }
       }
     }
     for (int jj = 0; jj < NB; ++jj) {
@@ -45,10 +50,14 @@ void block_n(const MicroArgs& s, const float* a, const float* b, float* c,
     for (int jj = 0; jj < NB; ++jj) {
       float* cj = c + m_full + (j0 + jj) * s.ldc;
       __m256 accv = acc ? _mm256_maskload_ps(cj, mask) : _mm256_setzero_ps();
-      for (std::int64_t kk = 0; kk < s.k; ++kk) {
-        const __m256 av = _mm256_maskload_ps(a + m_full + kk * s.lda, mask);
-        const __m256 bv = _mm256_broadcast_ss(b + kk + (j0 + jj) * s.ldb);
-        accv = _mm256_fmadd_ps(av, bv, accv);
+      for (std::int64_t br = 0; br < brcount; ++br) {
+        for (std::int64_t kk = 0; kk < s.k; ++kk) {
+          const __m256 av =
+              _mm256_maskload_ps(a[br] + m_full + kk * s.lda, mask);
+          const __m256 bv =
+              _mm256_broadcast_ss(b[br] + kk + (j0 + jj) * s.ldb);
+          accv = _mm256_fmadd_ps(av, bv, accv);
+        }
       }
       _mm256_maskstore_ps(cj, mask, accv);
     }
@@ -57,12 +66,13 @@ void block_n(const MicroArgs& s, const float* a, const float* b, float* c,
 
 }  // namespace
 
-void gemm_f32_avx2(const MicroArgs& s, const float* a, const float* b,
-                   float* c, bool acc) {
+void gemm_f32_avx2(const MicroArgs& s, const float* const* a,
+                   const float* const* b, std::int64_t brcount, float* c,
+                   bool acc) {
   std::int64_t j = 0;
-  for (; j + 4 <= s.n; j += 4) block_n<4>(s, a, b, c, acc, j);
-  for (; j + 2 <= s.n; j += 2) block_n<2>(s, a, b, c, acc, j);
-  for (; j < s.n; ++j) block_n<1>(s, a, b, c, acc, j);
+  for (; j + 4 <= s.n; j += 4) block_n<4>(s, a, b, brcount, c, acc, j);
+  for (; j + 2 <= s.n; j += 2) block_n<2>(s, a, b, brcount, c, acc, j);
+  for (; j < s.n; ++j) block_n<1>(s, a, b, brcount, c, acc, j);
 }
 
 }  // namespace plt::tpp::detail

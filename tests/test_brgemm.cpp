@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +14,7 @@ namespace plt::tpp {
 namespace {
 
 using plt::test::expect_allclose;
+using plt::test::expect_bitwise;
 using plt::test::naive_gemm;
 using plt::test::random_vec;
 using plt::test::to_bf16;
@@ -50,13 +53,15 @@ TEST(GemmMicro, VectorPathsMatchScalar) {
   auto b = random_vec(static_cast<std::size_t>(args.ldb * args.n), 6);
   auto c0 = random_vec(static_cast<std::size_t>(args.ldc * args.n), 7);
 
+  const float* ap = a.data();
+  const float* bp = b.data();
   std::vector<float> want = c0;
-  detail::gemm_f32_ref(args, a.data(), b.data(), want.data(), true);
+  detail::gemm_f32_ref(args, &ap, &bp, 1, want.data(), true);
 
 #if defined(PLT_KERNELS_AVX2)
   if (cpu_features().avx2 && cpu_features().fma) {
     std::vector<float> got = c0;
-    detail::gemm_f32_avx2(args, a.data(), b.data(), got.data(), true);
+    detail::gemm_f32_avx2(args, &ap, &bp, 1, got.data(), true);
     expect_allclose(got.data(), want.data(), got.size(), 1e-4f, "avx2");
   }
 #endif
@@ -64,7 +69,7 @@ TEST(GemmMicro, VectorPathsMatchScalar) {
   if (cpu_features().avx512f && cpu_features().avx512bw &&
       cpu_features().avx512vl) {
     std::vector<float> got = c0;
-    detail::gemm_f32_avx512(args, a.data(), b.data(), got.data(), true);
+    detail::gemm_f32_avx512(args, &ap, &bp, 1, got.data(), true);
     expect_allclose(got.data(), want.data(), got.size(), 1e-4f, "avx512");
   }
 #endif
@@ -79,23 +84,23 @@ TEST(GemmMicro, Bf16VnniPathsMatchScalarRef) {
   vnni2_pack(aflat.data(), avnni.data(), m, k, m);
 
   const detail::MicroArgs args{m, n, k, m, k, m};
+  const bf16* ap = avnni.data();
+  const bf16* bp = bflat.data();
   std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
-  detail::gemm_bf16_vnni_ref(args, avnni.data(), bflat.data(), want.data(), false);
+  detail::gemm_bf16_vnni_ref(args, &ap, &bp, 1, want.data(), false);
 
 #if defined(PLT_KERNELS_AVX512)
   if (cpu_features().avx512f && cpu_features().avx512bw &&
       cpu_features().avx512vl) {
     std::vector<float> got(want.size(), 0.0f);
-    detail::gemm_bf16_vnni_avx512(args, avnni.data(), bflat.data(), got.data(),
-                                  false);
+    detail::gemm_bf16_vnni_avx512(args, &ap, &bp, 1, got.data(), false);
     expect_allclose(got.data(), want.data(), got.size(), 1e-4f, "avx512 up");
   }
 #endif
 #if defined(PLT_KERNELS_AVX512BF16)
   if (cpu_features().avx512_bf16) {
     std::vector<float> got(want.size(), 0.0f);
-    detail::gemm_bf16_vnni_avx512bf16(args, avnni.data(), bflat.data(),
-                                      got.data(), false);
+    detail::gemm_bf16_vnni_avx512bf16(args, &ap, &bp, 1, got.data(), false);
     expect_allclose(got.data(), want.data(), got.size(), 1e-4f, "vdpbf16ps");
   }
 #endif
@@ -237,6 +242,195 @@ TEST(Brgemm, Bf16AccumulationStaysFp32AcrossBatch) {
   for (const bf16& v : c) {
     EXPECT_NEAR(v.to_f32(), expected, 0.02f * expected);
   }
+}
+
+// ---------- batch reduction in registers == successive single calls ----------
+
+// One BRGEMM over `count` blocks through the given address variant, with
+// padded leading dimensions (lda = m+1, ldb = k+2, ldc = m+3).
+template <typename T>
+void run_variant(BrgemmVariant variant, std::int64_t m, std::int64_t n,
+                 std::int64_t k, float beta, DType dt, ALayout layout,
+                 std::int64_t a_blk, std::int64_t b_blk, const T* a,
+                 const T* b, float* c, std::int64_t count) {
+  BrgemmTPP brgemm(BrgemmDesc{m, n, k, m + 1, k + 2, m + 3, dt, dt,
+                              DType::F32, beta, variant, layout, a_blk,
+                              b_blk});
+  std::vector<const void*> ap, bp;
+  std::vector<std::int64_t> oa, ob;
+  for (std::int64_t i = 0; i < count; ++i) {
+    ap.push_back(a + i * a_blk);
+    bp.push_back(b + i * b_blk);
+    oa.push_back(i * a_blk);
+    ob.push_back(i * b_blk);
+  }
+  switch (variant) {
+    case BrgemmVariant::kStride:
+      brgemm(a, b, c, count);
+      break;
+    case BrgemmVariant::kAddress:
+      brgemm.run_address(ap.data(), bp.data(), c, count);
+      break;
+    case BrgemmVariant::kOffset:
+      brgemm.run_offset(a, b, c, oa.data(), ob.data(), count);
+      break;
+  }
+}
+
+// Every variant's brcount-B call equals B brcount-1 calls bit for bit: each
+// C element accumulates in (batch index, k) order either way.
+template <typename T>
+void expect_batch_equals_singles(std::int64_t m, std::int64_t n,
+                                 std::int64_t k, std::int64_t count, float beta,
+                                 DType dt, ALayout layout, std::int64_t a_blk,
+                                 const T* a, const T* b) {
+  const std::int64_t ldc = m + 3, b_blk = (k + 2) * n;
+  const auto c0 = random_vec(static_cast<std::size_t>(ldc * n), 41);
+  std::vector<float> want = c0;
+  for (std::int64_t i = 0; i < count; ++i) {
+    run_variant(BrgemmVariant::kStride, m, n, k, i == 0 ? beta : 1.0f, dt,
+                layout, a_blk, b_blk, a + i * a_blk, b + i * b_blk,
+                want.data(), 1);
+  }
+  for (BrgemmVariant v : {BrgemmVariant::kStride, BrgemmVariant::kAddress,
+                          BrgemmVariant::kOffset}) {
+    std::vector<float> got = c0;
+    run_variant(v, m, n, k, beta, dt, layout, a_blk, b_blk, a, b, got.data(),
+                count);
+    expect_bitwise(got.data(), want.data(), got.size(),
+                   "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                       " count=" + std::to_string(count) + " variant=" +
+                       std::to_string(static_cast<int>(v)));
+  }
+}
+
+TEST(BrgemmBatch, F32BatchEqualsSuccessiveSingleCallsBitwise) {
+  const std::int64_t k = 7, count = 3;
+  for (std::int64_t m : {1, 15, 16, 17, 31, 32, 33, 48, 64})
+    for (std::int64_t n : {1, 2, 3, 4, 7, 8, 9, 12, 13, 56}) {
+      const std::int64_t a_blk = (m + 1) * k, b_blk = (k + 2) * n;
+      const auto a = random_vec(static_cast<std::size_t>(a_blk * count), 42);
+      const auto b = random_vec(static_cast<std::size_t>(b_blk * count), 43);
+      for (float beta : {0.0f, 1.0f})
+        expect_batch_equals_singles(m, n, k, count, beta, DType::F32,
+                                    ALayout::kFlat, a_blk, a.data(), b.data());
+    }
+}
+
+TEST(BrgemmBatch, F32BatchLongerThanOneChunk) {
+  // BrgemmTPP hands the batch over in fixed-size pointer chunks; a batch of
+  // 150 spans three of them.
+  const std::int64_t m = 33, n = 13, k = 5, count = 150;
+  const std::int64_t a_blk = (m + 1) * k, b_blk = (k + 2) * n;
+  const auto a = random_vec(static_cast<std::size_t>(a_blk * count), 44);
+  const auto b = random_vec(static_cast<std::size_t>(b_blk * count), 45);
+  expect_batch_equals_singles(m, n, k, count, 0.0f, DType::F32, ALayout::kFlat,
+                              a_blk, a.data(), b.data());
+}
+
+TEST(BrgemmBatch, Bf16VnniBatchEqualsSuccessiveSingleCallsBitwise) {
+  // fp32 C: the batch stays in fp32 both ways, so the sums match bit for bit.
+  const std::int64_t count = 3;
+  for (std::int64_t k : {7, 8})
+    for (std::int64_t m : {1, 16, 17, 33})
+      for (std::int64_t n : {1, 3, 8, 13}) {
+        // VNNI2 blocks with lda = m + 1 pairs: [ceil(k/2)][m+1][2].
+        const std::int64_t a_blk = (k + 1) / 2 * (m + 1) * 2;
+        const std::int64_t b_blk = (k + 2) * n;
+        const auto a = to_bf16(random_vec(static_cast<std::size_t>(a_blk * count), 46));
+        const auto b = to_bf16(random_vec(static_cast<std::size_t>(b_blk * count), 47));
+        expect_batch_equals_singles(m, n, k, count, 0.0f, DType::BF16,
+                                    ALayout::kVnni2, a_blk, a.data(), b.data());
+      }
+}
+
+// ---------- vector fp32 <-> bf16 conversion of a bf16 C tile ----------
+
+std::vector<float> conversion_inputs() {
+  const std::uint32_t patterns[] = {
+      0x00000000u, 0x80000000u, 0x3f800000u, 0xbf800000u,
+      0x3f808000u, 0x3f818000u, 0xbf808000u, 0xbf818000u,  // ties
+      0x3f807fffu, 0x3f808001u, 0x3f80ffffu,
+      0x00000001u, 0x00008000u, 0x00018000u, 0x007fffffu,  // denormals
+      0x807fffffu, 0x80008000u, 0x00007fffu,
+      0x7f7fffffu, 0xff7fffffu,                            // round to inf
+      0x7f800000u, 0xff800000u,                            // +-inf
+      0x7fc00000u, 0x7f800001u, 0x7fbfffffu, 0xffffffffu,  // NaNs
+      0xff800001u, 0x7fff8000u};
+  std::vector<float> v;
+  for (std::uint32_t u : patterns) {
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    v.push_back(f);
+  }
+  Xoshiro256 rng(48);
+  for (int i = 0; i < 4099; ++i) {
+    const std::uint32_t u = rng.next_u32();
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    v.push_back(f);
+  }
+  return v;
+}
+
+void expect_converters_exact(detail::ToBf16 to, detail::FromBf16 from,
+                             const char* what) {
+  const std::vector<float> in = conversion_inputs();
+  // Lengths around the 16-lane tails, each followed by guard elements that
+  // must stay untouched.
+  for (std::size_t count : {in.size(), std::size_t{1}, std::size_t{15},
+                            std::size_t{17}, std::size_t{31}}) {
+    std::vector<bf16> out(count + 8);
+    for (bf16& g : out) g.bits = 0xabcd;
+    to(in.data(), out.data(), static_cast<std::int64_t>(count));
+    for (std::size_t i = 0; i < count; ++i)
+      ASSERT_EQ(out[i].bits, bf16::from_f32(in[i]).bits)
+          << what << " to-bf16 at " << i;
+    for (std::size_t i = count; i < out.size(); ++i)
+      ASSERT_EQ(out[i].bits, 0xabcd) << what << " wrote past " << count;
+  }
+  std::vector<bf16> all(65536 + 3);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    all[i].bits = static_cast<std::uint16_t>(i);
+  std::vector<float> back(all.size() + 8, 7.0f);
+  from(all.data(), back.data(), static_cast<std::int64_t>(all.size()));
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const float want = all[i].to_f32();
+    ASSERT_EQ(std::memcmp(&back[i], &want, sizeof(float)), 0)
+        << what << " from-bf16 at " << i;
+  }
+  for (std::size_t i = all.size(); i < back.size(); ++i)
+    ASSERT_EQ(back[i], 7.0f) << what << " wrote past the end";
+}
+
+TEST(Bf16Convert, VectorMatchesFromF32BitForBit) {
+  expect_converters_exact(detail::f32_to_bf16_ref, detail::bf16_to_f32_ref,
+                          "ref");
+#if defined(PLT_KERNELS_AVX512)
+  if (cpu_features().avx512f && cpu_features().avx512bw &&
+      cpu_features().avx512vl) {
+    expect_converters_exact(detail::f32_to_bf16_avx512,
+                            detail::bf16_to_f32_avx512, "avx512");
+  }
+#endif
+}
+
+TEST(Bf16Convert, Bf16CTileRoundsLikeFromF32) {
+  // fp32 operands with a bf16 C: the tile accumulates in fp32 and is rounded
+  // once, exactly as bf16::from_f32 rounds the fp32 result.
+  const std::int64_t m = 37, n = 11, k = 9, count = 4;
+  const auto a = random_vec(static_cast<std::size_t>(m * k * count), 49);
+  const auto b = random_vec(static_cast<std::size_t>(k * n * count), 50);
+  const auto c0 = to_bf16(random_vec(static_cast<std::size_t>(m * n), 51));
+  std::vector<float> want = plt::test::to_f32(c0);
+  BrgemmTPP f32c(m, n, k, m * k, k * n, 1.0f);
+  f32c(a.data(), b.data(), want.data(), count);
+  std::vector<bf16> got = c0;
+  BrgemmTPP bf16c(m, n, k, m * k, k * n, 1.0f, DType::F32, DType::F32,
+                  DType::BF16);
+  bf16c(a.data(), b.data(), got.data(), count);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i].bits, bf16::from_f32(want[i]).bits) << i;
 }
 
 TEST(Brgemm, RejectsInvalidDescriptors) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "baselines/ref_conv.hpp"
 #include "baselines/ref_gemm.hpp"
+#include "common/threading.hpp"
 #include "kernels/conv_kernel.hpp"
 #include "kernels/gemm_kernel.hpp"
 #include "kernels/mlp_kernel.hpp"
@@ -15,6 +17,7 @@ namespace plt::kernels {
 namespace {
 
 using plt::test::expect_allclose;
+using plt::test::expect_bitwise;
 using plt::test::naive_gemm;
 using plt::test::random_vec;
 
@@ -92,6 +95,31 @@ TEST(GemmKernel, KStepFusesReduction) {
   naive_gemm(a_flat.data(), b_flat.data(), want.data(), cfg.M, cfg.N, cfg.K,
              cfg.M, cfg.K, cfg.M, 0.0f);
   expect_allclose(got.data(), want.data(), got.size(), 1e-4f, "k_step");
+}
+
+TEST(GemmKernel, KStepIsBitwiseNeutralForF32) {
+  // A fused k_step keeps the C block in registers across the K blocks; each
+  // element still accumulates in k order, so the result is bit-identical.
+  GemmConfig cfg;
+  cfg.M = 96;
+  cfg.N = 40;
+  cfg.K = 80;
+  cfg.bm = 32;
+  cfg.bn = 8;
+  cfg.bk = 16;
+  GemmKernel one(cfg);
+  cfg.k_step = cfg.Kb();
+  GemmKernel fused(cfg);
+  auto a_flat = random_vec(static_cast<std::size_t>(cfg.M * cfg.K), 13);
+  auto b_flat = random_vec(static_cast<std::size_t>(cfg.K * cfg.N), 14);
+  AlignedBuffer<std::uint8_t> a(one.a_elems() * 4), b(one.b_elems() * 4);
+  AlignedBuffer<std::uint8_t> c1(one.c_elems() * 4), c2(one.c_elems() * 4);
+  one.pack_a(a_flat.data(), a.data());
+  one.pack_b(b_flat.data(), b.data());
+  one.run(a.data(), b.data(), c1.data());
+  fused.run(a.data(), b.data(), c2.data());
+  expect_bitwise(reinterpret_cast<float*>(c2.data()),
+                 reinterpret_cast<float*>(c1.data()), one.c_elems(), "k_step");
 }
 
 TEST(GemmKernel, WithSpecChangesScheduleNotResult) {
@@ -182,6 +210,48 @@ TEST(MlpKernel, CascadedLayersMatchReference) {
   expect_allclose(got.data(), cur.data(), got.size(), 1e-3f, "mlp");
 }
 
+// Runs an fp32 MLP (64 -> 64 -> 64 -> 64, N = 32) with the given blocking
+// on fixed weights and returns the flat output.
+std::vector<float> run_mlp(std::int64_t bm, std::int64_t bk) {
+  MlpConfig cfg;
+  cfg.sizes = {64, 64, 64, 64};
+  cfg.N = 32;
+  cfg.bm = bm;
+  cfg.bk = bk;
+  cfg.bn = 16;
+  MlpKernel mlp(cfg);
+  std::vector<AlignedBuffer<std::uint8_t>> w_blocked;
+  std::vector<std::vector<float>> biases;
+  std::vector<const void*> w_ptrs;
+  std::vector<const float*> b_ptrs;
+  for (std::int64_t l = 0; l < mlp.num_layers(); ++l) {
+    const GemmKernel& g = mlp.layer(l);
+    const auto w = random_vec(64 * 64, 60 + l, -0.3f, 0.3f);
+    biases.push_back(random_vec(64, 70 + l, -0.2f, 0.2f));
+    w_blocked.emplace_back(g.a_elems() * 4);
+    g.pack_a(w.data(), w_blocked.back().data());
+  }
+  for (auto& w : w_blocked) w_ptrs.push_back(w.data());
+  for (auto& b : biases) b_ptrs.push_back(b.data());
+  const auto in_flat = random_vec(64 * 32, 80);
+  AlignedBuffer<std::uint8_t> in(mlp.layer(0).b_elems() * 4);
+  mlp.layer(0).pack_b(in_flat.data(), in.data());
+  const GemmKernel& last = mlp.layer(mlp.num_layers() - 1);
+  AlignedBuffer<std::uint8_t> out(last.c_elems() * 4);
+  mlp.run(in.data(), w_ptrs, b_ptrs, out.data());
+  std::vector<float> flat(last.c_elems());
+  last.unpack_c(out.data(), flat.data());
+  return flat;
+}
+
+TEST(MlpKernel, SharedStageMatchesRelayoutBitwise) {
+  // bm == bk: layer l+1 reads layer l's C stage as its B operand directly.
+  // bm != bk: the stage goes through c_to_b. Same k order, same bits.
+  const std::vector<float> shared = run_mlp(32, 32);
+  const std::vector<float> relayout = run_mlp(16, 32);
+  expect_bitwise(shared.data(), relayout.data(), shared.size(), "mlp stage");
+}
+
 // ---------- Convolution: parameterized against the naive reference ----------
 
 struct ConvCase {
@@ -260,6 +330,50 @@ TEST(ConvKernel, WStepTilingMatchesFullRow) {
   expect_allclose(reinterpret_cast<float*>(o1.data()),
                   reinterpret_cast<float*>(o2.data()), full.output_elems(),
                   1e-5f, "w_step");
+}
+
+TEST(ConvKernel, DefaultSpecFillsTheTeamAtMinibatchOne) {
+  // ResNet-50's 3x3 64->64 layer at 56x56, one image: the default collapse
+  // group spans minibatch x output-channel blocks x output rows.
+  ConvConfig big;
+  big.N = 1;
+  big.C = big.K = 64;
+  big.H = big.W = 56;
+  big.pad_h = big.pad_w = 1;
+  const ConvKernel bench_shape(big);
+  std::int64_t items = 0;
+  for (const parlooper::CompiledLevel& lv : bench_shape.loop().plan().levels())
+    if (lv.group_head) {
+      items = lv.group_total;
+      break;
+    }
+  EXPECT_EQ(items, big.N * big.Kb() * big.P());
+  EXPECT_GE(items, max_threads());
+
+  // Same bits as the old (minibatch x output-channel) spec, with the
+  // channel-block loop split so the reduction runs across body calls.
+  ConvConfig cfg;
+  cfg.N = 1;
+  cfg.C = cfg.K = 16;
+  cfg.H = cfg.W = 10;
+  cfg.pad_h = cfg.pad_w = 1;
+  cfg.bc = cfg.bk = 8;
+  cfg.c_step = 1;
+  const ConvKernel rows(cfg);
+  const ConvKernel old = rows.with_spec("ACdebfg");
+  auto input = random_vec(static_cast<std::size_t>(cfg.C * cfg.H * cfg.W), 15);
+  auto weights = random_vec(static_cast<std::size_t>(cfg.K * cfg.C * 9), 16);
+  AlignedBuffer<std::uint8_t> in_b(rows.input_elems() * 4),
+      w_b(rows.weight_elems() * 4);
+  AlignedBuffer<std::uint8_t> o1(rows.output_elems() * 4),
+      o2(rows.output_elems() * 4);
+  rows.pack_input(input.data(), in_b.data());
+  rows.pack_weights(weights.data(), w_b.data());
+  rows.run(in_b.data(), w_b.data(), o1.data());
+  old.run(in_b.data(), w_b.data(), o2.data());
+  expect_bitwise(reinterpret_cast<float*>(o1.data()),
+                 reinterpret_cast<float*>(o2.data()), rows.output_elems(),
+                 "conv spec");
 }
 
 TEST(ConvKernel, Bf16TracksF32) {

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/bf16.hpp"
@@ -37,6 +39,18 @@ inline void expect_allclose(const float* got, const float* want,
     const float scale = std::max(1.0f, std::fabs(want[i]));
     ASSERT_NEAR(got[i], want[i], rel_tol * scale)
         << what << " mismatch at flat index " << i;
+  }
+}
+
+// Bit-pattern equality (distinguishes -0.0 from 0.0 and compares NaNs).
+inline void expect_bitwise(const float* got, const float* want, std::size_t n,
+                           const std::string& what = "") {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t g, w;
+    std::memcpy(&g, got + i, sizeof(g));
+    std::memcpy(&w, want + i, sizeof(w));
+    ASSERT_EQ(g, w) << what << " bits differ at flat index " << i << " ("
+                    << got[i] << " vs " << want[i] << ")";
   }
 }
 

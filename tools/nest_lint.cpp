@@ -63,7 +63,8 @@ void register_catalogue() {
   c.H = c.W = 8;
   c.pad_h = c.pad_w = 1;
   c.bc = c.bk = 16;
-  for (const char* spec : {"ACdebfg", "ACdebfg @ schedule(dynamic,1)"}) {
+  for (const char* spec :
+       {"ACDebfg", "ACdebfg", "ACDebfg @ schedule(dynamic,1)"}) {
     c.loop_spec = spec;
     plt::kernels::ConvKernel kernel(c);
   }
