@@ -1,4 +1,4 @@
-// Ablation: the design choices DESIGN.md calls out, isolated one at a time
+// Ablation: the paper's loop-instantiation choices, isolated one at a time
 // on a fixed GEMM — (a) loop order, (b) multi-level blocking depth,
 // (c) BRGEMM k_step fusion, (d) dynamic vs static scheduling. Each knob is
 // a pure loop_spec_string / config change with zero kernel-code change,

@@ -1,5 +1,6 @@
 // Fig. 9: BERT-Large fine-tuning throughput (sequences/sec). Software
-// tiers (vendor stacks substituted per DESIGN.md):
+// tiers (the vendor stacks are not available here, so each is substituted
+// by a schedule of this repo's own kernels):
 //   "hf-sub"    — the unadapted schedule (serial K-outer loops, the
 //                 framework-default path),
 //   "tpp-fixed" — TPP kernels with a fixed loop order (prior work [12]),

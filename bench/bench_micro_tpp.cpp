@@ -119,7 +119,7 @@ void BM_NestDispatch(benchmark::State& state, plt::Runtime rt) {
   plt::set_runtime(rt);
   std::vector<parlooper::LoopSpecs> loops = {parlooper::LoopSpecs{0, 4, 1, {}},
                                              parlooper::LoopSpecs{0, 4, 1, {}}};
-  parlooper::LoopNest nest(loops, "Ab", parlooper::Backend::kInterpreter);
+  parlooper::LoopNest nest(loops, "Ab");
   std::int64_t sink = 0;
   const parlooper::BodyFn body = [&](const std::int64_t* ind) {
     sink += ind[0] + ind[1];

@@ -1,6 +1,6 @@
 // Table I: MLPerf-style BERT time-to-train. The paper reports multi-node
 // SPR results (85.91 min on 8 nodes, 47.26 min on 16); a single host cannot
-// reproduce a cluster, so per DESIGN.md this bench measures the real
+// reproduce a cluster, so this bench measures the real
 // single-socket training step built on the PARLOOPER/TPP encoder and applies
 // a strong-scaling model (92%/86% efficiency at 8/16 nodes — typical
 // all-reduce-dominated BERT scaling) to a fixed sample budget.

@@ -1,9 +1,9 @@
 // Table II: ResNet-50 training throughput (images/sec). The measured
 // quantity is the forward pass through the full PARLOOPER/TPP ResNet-50;
 // training throughput applies the canonical fwd:bwd cost ratio of ~1:2 for
-// convolutional nets (dgrad + wgrad each cost about one forward), as
-// documented in DESIGN.md. Both fp32 and bf16 paths are reported; the paper
-// compares SPR vs GVT3 and lands within 4% of the vendor stack.
+// convolutional nets (dgrad + wgrad each cost about one forward); the
+// backward pass itself is not run. Both fp32 and bf16 paths are reported;
+// the paper compares SPR vs GVT3 and lands within 4% of the vendor stack.
 // BENCH_tab2_resnet_training.json rows carry a _p<N> suffix (N = active pool
 // partition count), so the CI matrix legs (1 vs 2 partitions) land in
 // distinct rows and the partition-scaling trajectory is tracked per PR.

@@ -151,7 +151,7 @@ inline void report_pool_stats(JsonReporter& json) {
 inline double small_nest_ns_per_invocation(int repeats = 20000) {
   std::vector<parlooper::LoopSpecs> loops = {
       parlooper::LoopSpecs{0, 4, 1, {}}, parlooper::LoopSpecs{0, 4, 1, {}}};
-  parlooper::LoopNest nest(loops, "Ab", parlooper::Backend::kInterpreter);
+  parlooper::LoopNest nest(loops, "Ab");
   volatile std::int64_t sink = 0;
   // A prebuilt BodyFn so the measurement excludes std::function construction.
   const parlooper::BodyFn body = [&](const std::int64_t* ind) {

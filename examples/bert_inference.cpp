@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   dl::BertEmbeddings embeddings(cfg, /*vocab=*/8192, rng);
   dl::BertEncoder encoder(cfg, rng);
 
-  // Synthetic token stream (stands in for a SQuAD batch; see DESIGN.md).
+  // Synthetic token stream: stands in for a SQuAD batch (the dataset is not
+  // bundled; throughput does not depend on the token values).
   std::vector<std::int32_t> tokens(static_cast<std::size_t>(cfg.tokens()));
   for (auto& t : tokens) t = static_cast<std::int32_t>(rng.bounded(8192));
 

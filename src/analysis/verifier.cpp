@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "common/log.hpp"
-#include "parlooper/jit_backend.hpp"
 
 namespace plt::analysis {
 
@@ -234,43 +233,6 @@ void check_races_for_map(const LoopNestPlan& plan,
   }
 }
 
-// --- backend equivalence -----------------------------------------------------
-
-void check_backend_equivalence(const LoopNestPlan& plan,
-                               const std::vector<ThreadProgram>& interp,
-                               int nthreads, VerifyReport& report,
-                               IssueSink& sink) {
-  std::shared_ptr<parlooper::JitLoop> jit =
-      parlooper::JitLoop::get_or_compile(plan);
-  if (jit == nullptr) return;  // no compiler / non-rectangular collapse
-  report.backend_checked = true;
-
-  // Serial nests: the JIT executes on one thread of one; the emitted code
-  // also skips barrier calls when nthreads == 1, so compare the flat
-  // invocation sequence of thread 0 only.
-  const bool serial = !plan.any_parallel();
-  const int compare_threads = serial ? 1 : nthreads;
-  for (int t = 0; t < compare_threads; ++t) {
-    const ThreadProgram jp =
-        serial ? jit->record_thread_program(plan, 0, 1)
-               : jit->record_thread_program(plan, t, nthreads);
-    const ThreadProgram& ip = interp[static_cast<std::size_t>(t)];
-    if (jp.inds != ip.inds) {
-      sink.add(IssueKind::kBackendMismatch,
-               "thread " + std::to_string(t) +
-                   ": JIT invocation sequence differs from the interpreter (" +
-                   std::to_string(jp.inds.size()) + " vs " +
-                   std::to_string(ip.inds.size()) + " recorded values)");
-      continue;
-    }
-    if (!serial && nthreads > 1 && jp.seg_len != ip.seg_len) {
-      sink.add(IssueKind::kBackendMismatch,
-               "thread " + std::to_string(t) +
-                   ": JIT barrier segmentation differs from the interpreter");
-    }
-  }
-}
-
 }  // namespace
 
 const char* issue_kind_name(IssueKind k) {
@@ -279,7 +241,6 @@ const char* issue_kind_name(IssueKind k) {
     case IssueKind::kCoverage: return "coverage";
     case IssueKind::kRace: return "race";
     case IssueKind::kReadAfterWrite: return "read-after-write";
-    case IssueKind::kBackendMismatch: return "backend-mismatch";
   }
   return "?";
 }
@@ -298,7 +259,7 @@ std::string VerifyReport::summary() const {
        << (coverage_checked ? "coverage" : "coverage-skipped") << ", "
        << (races_checked ? "races[" + std::to_string(maps_checked) + " maps]"
                          : "races-skipped")
-       << ", " << (backend_checked ? "backend" : "backend-skipped") << ")";
+       << ")";
     return os.str();
   }
   os << "nthreads=" << nthreads << ": " << issues.size() << " issue(s)";
@@ -374,15 +335,8 @@ VerifyReport verify_plan(const LoopNestPlan& plan, int nthreads,
     report.nthreads = nthreads;
     return report;
   }
-  const std::vector<ThreadProgram> interp =
-      parlooper::record_team_programs(plan, nthreads);
-  VerifyReport report =
-      verify_programs(plan, interp, plan.access_maps(), opts);
-  if (opts.check_backend && parlooper::JitLoop::available()) {
-    IssueSink sink(report, opts.max_issues);
-    check_backend_equivalence(plan, interp, nthreads, report, sink);
-  }
-  return report;
+  return verify_programs(plan, parlooper::record_team_programs(plan, nthreads),
+                         plan.access_maps(), opts);
 }
 
 const std::vector<int>& default_team_sizes() {
@@ -409,15 +363,9 @@ void maybe_verify_at_plan_compile(const LoopNestPlan& plan) {
     if (it != verified.end() && it->second >= nmaps) return;
   }
 
-  VerifyOptions opts;
-  // The hook proves what will actually run: backend equivalence is only
-  // relevant (and worth a JIT compile) when the JIT is in use. nest_lint
-  // sweeps it unconditionally.
-  opts.check_backend = common::env_flag("PLT_PARLOOPER_JIT", false);
-
   std::string failures;
   for (int n : default_team_sizes()) {
-    const VerifyReport report = verify_plan(plan, n, opts);
+    const VerifyReport report = verify_plan(plan, n);
     if (!report.ok()) {
       failures += (failures.empty() ? "" : "\n") + report.summary();
     }

@@ -4,7 +4,7 @@
 // changing results" claim turned from a dynamically-tested property (TSan
 // jobs, bitwise re-checks) into a statically-proved one.
 //
-// Three properties, per team size:
+// Two properties, per team size:
 //
 //   1. COVERAGE      The union of all ThreadProgram index tuples equals the
 //                    full logical iteration space exactly once — across
@@ -15,10 +15,6 @@
 //                    barrier-delimited segment, and read-after-write hazards
 //                    only cross barriers (in/out aliasing uses one tensor
 //                    name, so it is flagged the same way).
-//   3. BACKEND       The interpreter's recorded schedule and the JIT
-//      EQUIVALENCE   backend's emitted partitioning produce identical
-//                    per-thread invocation sequences (and identical barrier
-//                    segmentation for teams wider than one).
 //
 // Exposed three ways: the PLT_VERIFY_PLANS=1|2 hook at plan-compile time
 // (warn / PLT_ENSURE-fail), the tools/nest_lint CLI sweep, and the mutation
@@ -39,7 +35,6 @@ enum class IssueKind {
   kCoverage,         // missing / duplicated / off-grid iteration tuples
   kRace,             // cross-thread write-write overlap within a segment
   kReadAfterWrite,   // cross-thread RAW hazard not separated by a barrier
-  kBackendMismatch,  // interpreter and JIT partitionings disagree
 };
 
 const char* issue_kind_name(IssueKind k);
@@ -52,7 +47,6 @@ struct Issue {
 struct VerifyOptions {
   bool check_coverage = true;
   bool check_races = true;    // no-op unless access maps are supplied
-  bool check_backend = true;  // skipped when no JIT compiler is available
   // Plans whose iteration space exceeds this are skipped (*_checked stays
   // false) rather than enumerated; verification is exact, not sampled.
   std::int64_t max_iterations = std::int64_t{1} << 20;
@@ -63,7 +57,6 @@ struct VerifyReport {
   int nthreads = 0;
   bool coverage_checked = false;
   bool races_checked = false;
-  bool backend_checked = false;
   std::size_t maps_checked = 0;     // access maps the race pass covered
   std::size_t suppressed_issues = 0;  // findings beyond max_issues
   std::vector<Issue> issues;
@@ -76,17 +69,15 @@ struct VerifyReport {
 // Verifies recorded per-thread programs against the plan's logical iteration
 // space and the given access maps. This is the core the mutation self-test
 // drives with deliberately corrupted programs; verify_plan feeds it the real
-// recorded schedules. Does not touch the JIT backend.
+// recorded schedules.
 VerifyReport verify_programs(
     const parlooper::LoopNestPlan& plan,
     const std::vector<parlooper::ThreadProgram>& threads,
     const std::vector<parlooper::AccessMap>& maps,
     const VerifyOptions& opts = {});
 
-// Records the interpreter's team programs for an nthreads-wide team, runs
-// verify_programs against the plan's attached access maps, then (when
-// requested and a JIT compiler is available) records the JIT backend's
-// emitted partitioning and asserts per-thread equality.
+// Records the interpreter's team programs for an nthreads-wide team and runs
+// verify_programs against the plan's attached access maps.
 VerifyReport verify_plan(const parlooper::LoopNestPlan& plan, int nthreads,
                          const VerifyOptions& opts = {});
 
@@ -98,9 +89,7 @@ const std::vector<int>& default_team_sizes();
 // PLT_VERIFY_PLANS: 0/unset = off; 1 = verify and warn on findings;
 // 2 = verify and PLT_ENSURE-fail (kInvalidArgument) on findings. Verifies
 // the default team sizes, memoized per (plan, attached-map count) so cached
-// plans are not re-proved on every LoopNest hit. Backend equivalence is only
-// checked here when the JIT is in use (PLT_PARLOOPER_JIT) — nest_lint checks
-// it unconditionally.
+// plans are not re-proved on every LoopNest hit.
 void maybe_verify_at_plan_compile(const parlooper::LoopNestPlan& plan);
 
 // --- mutation self-test ------------------------------------------------------

@@ -1,7 +1,7 @@
 // Persistent worker-thread pool: the PLT_RUNTIME=pool execution backend.
 //
 // The paper's performance thesis is that PARLOOPER adds near-zero overhead
-// per nest invocation (Section II-B: plans and JITed nests are cached, so
+// per nest invocation (Section II-B: loop-nest plans are cached, so
 // steady-state dispatch is a lookup). An OpenMP `#pragma omp parallel` per
 // nest call undermines that for small nests: every invocation pays region
 // spawn/join. This pool keeps one process-wide team of pinned threads alive;

@@ -95,7 +95,6 @@ FcLayer::FcLayer(FcConfig cfg, Xoshiro256& rng)
     dg.bk = cfg_.bm;   // out-features blocked by bm
     dg.dtype = DType::F32;
     dg.loop_spec = cfg_.loop_spec;
-    dg.backend = cfg_.backend;
     dgrad_gemm_ = std::make_unique<kernels::GemmKernel>(dg);
   }
 }
@@ -182,7 +181,7 @@ struct FcLayer::TokenPlan {
         nest({parlooper::LoopSpecs{0, cfg.in_features / cfg.bk, 1},
               parlooper::LoopSpecs{0, cfg.out_features / cfg.bm, 1},
               parlooper::LoopSpecs{0, S / bn, 1}},
-             cfg.loop_spec, cfg.backend, fc_access_map(cfg, bn_in)) {}
+             cfg.loop_spec, fc_access_map(cfg, bn_in)) {}
 };
 
 FcLayer::~FcLayer() = default;

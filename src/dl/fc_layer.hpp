@@ -38,7 +38,6 @@ struct FcConfig {
   FcActivation act = FcActivation::kNone;
   bool with_bias = true;
   std::string loop_spec = "BCa";
-  parlooper::Backend backend = parlooper::Backend::kAuto;
 };
 
 class FcLayer {

@@ -82,7 +82,7 @@ ConvKernel::ConvKernel(ConvConfig cfg)
                     ((cfg_.w_step - 1) * cfg_.stride_w + cfg_.S) * bc,
                 cfg_.c_step, Hp * Wp * bc);
   loop_ = std::make_shared<const parlooper::LoopNest>(loops, cfg_.loop_spec,
-                                                      cfg_.backend, access);
+                                                      access);
 }
 
 ConvKernel ConvKernel::with_spec(const std::string& loop_spec) const {

@@ -37,7 +37,6 @@ struct ConvConfig {
   // output row block has one owner for the whole channel-block reduction.
   // Including the rows keeps every thread busy at minibatch 1.
   std::string loop_spec = "ACDebfg";
-  parlooper::Backend backend = parlooper::Backend::kAuto;
 
   std::int64_t P() const { return (H + 2 * pad_h - R) / stride_h + 1; }
   std::int64_t Q() const { return (W + 2 * pad_w - S) / stride_w + 1; }

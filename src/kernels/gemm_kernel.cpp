@@ -47,7 +47,7 @@ GemmKernel::GemmKernel(GemmConfig cfg)
       .add_read("A", {a_blk, Kb * a_blk, 0}, cfg_.k_step * a_blk)
       .add_read("B", {b_blk, 0, Kb * b_blk}, cfg_.k_step * b_blk);
   loop_ = std::make_shared<const parlooper::LoopNest>(
-      make_loops(cfg_), cfg_.loop_spec, cfg_.backend, access);
+      make_loops(cfg_), cfg_.loop_spec, access);
 }
 
 GemmKernel GemmKernel::with_spec(const std::string& loop_spec) const {

@@ -31,7 +31,6 @@ struct GemmConfig {
   std::vector<std::int64_t> m_blocking;  // extra blocking sizes for 'b'
   std::vector<std::int64_t> n_blocking;  // extra blocking sizes for 'c'
   std::vector<std::int64_t> k_blocking;  // extra blocking sizes for 'a'
-  parlooper::Backend backend = parlooper::Backend::kAuto;
 
   std::int64_t Mb() const { return M / bm; }
   std::int64_t Nb() const { return N / bn; }

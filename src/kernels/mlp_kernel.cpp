@@ -25,7 +25,6 @@ MlpKernel::MlpKernel(MlpConfig cfg) : cfg_(cfg) {
     gc.bk = cfg_.bk;
     gc.dtype = cfg_.dtype;
     gc.loop_spec = cfg_.loop_spec;
-    gc.backend = cfg_.backend;
     layers_.emplace_back(gc);
     bias_tpps_.emplace_back(tpp::BinaryDesc{
         tpp::BinaryKind::kAdd, cfg_.bm, cfg_.bn, 0, 0, 0, DType::F32,

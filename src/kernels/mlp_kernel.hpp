@@ -26,7 +26,6 @@ struct MlpConfig {
   Activation act = Activation::kRelu;
   bool with_bias = true;
   std::string loop_spec = "BCa";
-  parlooper::Backend backend = parlooper::Backend::kAuto;
 };
 
 class MlpKernel {

@@ -23,7 +23,7 @@ SpmmKernel::SpmmKernel(SpmmConfig cfg)
       .add_write("C", {cfg_.bm, cfg_.bn * cfg_.M}, cfg_.bm, cfg_.bn, cfg_.M)
       .add_read("B", {0, cfg_.bn * cfg_.K}, cfg_.bn * cfg_.K);
   loop_ = std::make_shared<const parlooper::LoopNest>(loops, cfg_.loop_spec,
-                                                      cfg_.backend, access);
+                                                      access);
 }
 
 void SpmmKernel::run(const tpp::BcscMatrix& a, const void* b, float* c) const {

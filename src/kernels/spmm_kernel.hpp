@@ -20,7 +20,6 @@ struct SpmmConfig {
   std::int64_t bn = 32;          // dense N tiling
   DType dtype = DType::F32;      // A/B precision (C accumulates fp32)
   std::string loop_spec = "AB";  // parallel over (m-block, n-tile)
-  parlooper::Backend backend = parlooper::Backend::kAuto;
 
   std::int64_t Mb() const { return M / bm; }
   std::int64_t Nb() const { return N / bn; }

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/threading.hpp"
 
 namespace plt::parlooper {
@@ -63,9 +62,9 @@ struct ThreadExec {
     if (lvl.group_head) {
       run_collapse_group(li);
       // A barrier on the group's last member fires once the whole collapse
-      // group completes — mirroring the JIT backend, which emits the barrier
-      // after the group's closing brace. (Mid-group barriers are rejected by
-      // validate_spec; they could never fire a consistent number of times.)
+      // group completes, as Listing 2's barrier after the group's closing
+      // brace does. (Mid-group barriers are rejected by validate_spec; they
+      // could never fire a consistent number of times.)
       const std::size_t gend = li + static_cast<std::size_t>(lvl.group_size);
       if (plan.levels()[gend - 1].term.barrier_after) {
         if (on_barrier != nullptr) {
@@ -109,8 +108,7 @@ struct ThreadExec {
   // PAR-MODE 1: flatten the group's (constant) trip counts row-major and
   // split the flat range across threads. schedule(dynamic,c) is emulated
   // with cyclic chunk assignment — deterministic, synchronization-free, and
-  // load-balancing like the OpenMP dynamic schedule it stands in for (the
-  // JIT backend emits the real directive).
+  // load-balancing like the OpenMP dynamic schedule it stands in for.
   void run_collapse_group(std::size_t head) {
     const CompiledLevel& h = plan.levels()[head];
     const int gs = h.group_size;
@@ -227,15 +225,8 @@ std::vector<ThreadProgram> record_team_programs(const LoopNestPlan& plan,
   return team;
 }
 
-std::int64_t LoopNestPlan::flat_schedule_max_iters() {
-  // 0 disables precompiled schedules entirely (forces the recursive walk).
-  static const std::int64_t v = common::env_int(
-      "PLT_FLAT_SCHED_MAX", std::int64_t{1} << 13, 0, std::int64_t{1} << 32);
-  return v;
-}
-
 const TeamSchedule* LoopNestPlan::team_schedule(int nthreads) const {
-  if (total_iterations_ > flat_schedule_max_iters()) return nullptr;
+  if (total_iterations_ > kFlatScheduleMaxIters) return nullptr;
 
   // Lock-free hit path: the chain only ever grows at the head and nodes are
   // immutable once published.

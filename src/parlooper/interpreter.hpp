@@ -7,9 +7,9 @@
 // spec requests schedule(dynamic)); PAR-MODE 2 grid levels are partitioned
 // in block fashion along the thread grid's row/column/layer coordinate.
 //
-// This executor is semantically identical to the source-JIT backend and is
-// the default (it needs no compiler at runtime); the test suite runs both
-// and asserts identical iteration coverage.
+// It is the only executor: small nests walk a precompiled per-team flat
+// schedule, larger ones the recursive level walk below; both visit the same
+// invocations in the same order.
 #pragma once
 
 #include <functional>

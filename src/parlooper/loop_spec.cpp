@@ -212,7 +212,7 @@ std::string validate_spec(const ParsedSpec& parsed,
   }
 
   // A barrier inside a collapse group can only fire after the whole group
-  // (both backends place it after the group's closing brace); a marker on a
+  // (the executor runs it after the group's last member); a marker on a
   // non-terminal member would be silently dropped, so reject it.
   for (std::size_t i = 0; i + 1 < parsed.terms.size(); ++i) {
     const LoopTerm& t = parsed.terms[i];
@@ -224,20 +224,6 @@ std::string validate_spec(const ParsedSpec& parsed,
     }
   }
   return "";
-}
-
-std::string structural_key(const ParsedSpec& parsed, int num_logical_loops) {
-  std::ostringstream os;
-  os << 'n' << num_logical_loops << ':';
-  for (const LoopTerm& t : parsed.terms) {
-    os << static_cast<char>((t.parallel ? 'A' : 'a') + t.logical);
-    if (t.grid != GridAxis::kNone) {
-      os << '{' << "?RCL"[static_cast<int>(t.grid)] << ':' << t.grid_ways << '}';
-    }
-    if (t.barrier_after) os << '|';
-  }
-  if (!parsed.omp_suffix.empty()) os << '@' << parsed.omp_suffix;
-  return os.str();
 }
 
 }  // namespace plt::parlooper

@@ -73,9 +73,4 @@ std::string validate_spec(const ParsedSpec& parsed,
 std::int64_t term_step(const ParsedSpec& parsed, std::size_t term_index,
                        const std::vector<LoopSpecs>& loops);
 
-// Structural cache key: everything that affects generated code (term
-// sequence, parallelization, grid ways, directive) but not the numeric
-// bounds, which are runtime arguments of the generated loop nest.
-std::string structural_key(const ParsedSpec& parsed, int num_logical_loops);
-
 }  // namespace plt::parlooper

@@ -82,10 +82,6 @@ LoopNestPlan::~LoopNestPlan() {
   }
 }
 
-std::string LoopNestPlan::structural_key() const {
-  return plt::parlooper::structural_key(parsed_, num_logical());
-}
-
 bool LoopNestPlan::attach_access_map(const AccessMap& map) const {
   if (map.empty()) return false;
   for (const TensorAccess& a : map.accesses) {

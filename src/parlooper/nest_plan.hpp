@@ -1,5 +1,5 @@
-// Compiled loop-nest plan: the loop IR shared by the interpreter executor
-// and the source-JIT backend. Built once per (declaration, spec string) and
+// Compiled loop-nest plan: the loop IR the interpreter executor runs. Built
+// once per (declaration, spec string) and
 // cached; numeric bounds stay runtime parameters of execution, mirroring the
 // paper's "blocking lists may be provided at runtime" design.
 #pragma once
@@ -73,19 +73,16 @@ class LoopNestPlan {
   // Precompiled per-thread schedule for an nthreads-wide team, built on
   // first use and memoized for the plan's lifetime (an invocation is then a
   // flat walk of ThreadProgram::inds). Returns nullptr when the nest is too
-  // large to flatten (> flat_schedule_max_iters() body calls) — execution
+  // large to flatten (> kFlatScheduleMaxIters body calls) — execution
   // falls back to the recursive interpreter, whose per-call overhead is
   // amortized by the large body count. The lookup is lock-free on the hit
   // path (acquire walk of an immutable chain). Defined in interpreter.cpp,
   // which owns the single source of truth for iteration-order semantics.
   const TeamSchedule* team_schedule(int nthreads) const;
 
-  // Flattening threshold in body invocations (PLT_FLAT_SCHED_MAX overrides;
-  // 0 disables flat schedules entirely).
-  static std::int64_t flat_schedule_max_iters();
-
-  // Cache key covering the generated-code structure.
-  std::string structural_key() const;
+  // Flattening threshold in body invocations: small nests (dispatch-bound)
+  // walk a flat schedule, larger ones the recursive interpreter.
+  static constexpr std::int64_t kFlatScheduleMaxIters = std::int64_t{1} << 13;
 
   // Access maps attached by the plan's users (LoopNest construction sites).
   // Plans are cached and shared, so several kernels with the same spec and

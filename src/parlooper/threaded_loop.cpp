@@ -5,17 +5,14 @@
 #include <unordered_map>
 
 #include "analysis/verifier.hpp"
-#include "common/env.hpp"
 #include "common/fault.hpp"
-#include "parlooper/jit_backend.hpp"
 
 namespace plt::parlooper {
 
 namespace {
 
-// Plan cache: (bounds + spec string) -> compiled plan. Unlike the JIT cache
-// (structural key only), plans bake numeric trip counts, so bounds are part
-// of the key.
+// Plan cache: (bounds + spec string) -> compiled plan. Plans bake numeric
+// trip counts, so bounds are part of the key.
 struct PlanRegistry {
   std::mutex mu;
   std::unordered_map<std::string, std::shared_ptr<const LoopNestPlan>> map;
@@ -40,11 +37,6 @@ std::string plan_key(const std::vector<LoopSpecs>& loops,
   return os.str();
 }
 
-bool jit_requested_by_env() {
-  static const bool v = common::env_flag("PLT_PARLOOPER_JIT", false);
-  return v;
-}
-
 }  // namespace
 
 PlanCacheStats plan_cache_stats() {
@@ -61,7 +53,7 @@ void plan_cache_for_each(
 }
 
 LoopNest::LoopNest(std::vector<LoopSpecs> loops, const std::string& spec_string,
-                   Backend backend, const AccessMap& access) {
+                   const AccessMap& access) {
   const std::string key = plan_key(loops, spec_string);
   PlanRegistry& reg = plan_registry();
   {
@@ -84,25 +76,14 @@ LoopNest::LoopNest(std::vector<LoopSpecs> loops, const std::string& spec_string,
   // Static verification hook (PLT_VERIFY_PLANS=1 warn / =2 fail); memoized
   // per plan so cache hits with an already-proved map set return instantly.
   analysis::maybe_verify_at_plan_compile(*plan_);
-
-  const bool want_jit =
-      backend == Backend::kJit ||
-      (backend == Backend::kAuto && jit_requested_by_env());
-  if (want_jit) {
-    jit_ = JitLoop::get_or_compile(*plan_);
-  }
 }
 
 void LoopNest::operator()(const BodyFn& body, const VoidFn& init,
                           const VoidFn& term) const {
-  // Chaos-test hook: one fault point per nest invocation, covering both the
-  // JIT and interpreter paths. Unarmed cost is one relaxed load + branch.
+  // Chaos-test hook: one fault point per nest invocation. Unarmed cost is
+  // one relaxed load + branch.
   common::fault::fire_point(common::fault::Site::kKernelExec);
-  if (jit_ != nullptr) {
-    jit_->run(*plan_, body, init, term);
-  } else {
-    run_interpreter(*plan_, body, init, term);
-  }
+  run_interpreter(*plan_, body, init, term);
 }
 
 }  // namespace plt::parlooper

@@ -8,13 +8,9 @@
 //   gemm_loop([&](const int64_t* ind) { ... });
 //
 // The spec string selects loop order, blockings and parallelization at
-// runtime with zero user-code change. Plans (and, when enabled, the JITed
-// loop functions) are cached so repeated construction with the same spec is
-// a lookup, not a re-JIT.
-//
-// Backend selection: the interpreter executor is the default; setting the
-// environment variable PLT_PARLOOPER_JIT=1 (or passing Backend::kJit)
-// switches to the source-JIT backend with interpreter fallback.
+// runtime with zero user-code change. Plans are cached, so repeated
+// construction with the same spec is a lookup, not a re-compile; the
+// interpreter executes them (flat per-team schedules for small nests).
 #pragma once
 
 #include <array>
@@ -27,28 +23,24 @@
 
 namespace plt::parlooper {
 
-enum class Backend { kAuto, kInterpreter, kJit };
-
 class LoopNest {
  public:
   // `access` optionally declares the per-iteration tensor footprints of the
   // body (see access_map.hpp); it is attached to the (shared, cached) plan
   // and lets the static verifier prove race-freedom of the schedule. An
-  // empty map only disables the race check — coverage and backend
-  // equivalence are still provable. Construction also runs the
-  // PLT_VERIFY_PLANS compile-time verification hook.
+  // empty map only disables the race check — coverage is still provable.
+  // Construction also runs the PLT_VERIFY_PLANS compile-time verification
+  // hook.
   LoopNest(std::vector<LoopSpecs> loops, const std::string& spec_string,
-           Backend backend = Backend::kAuto, const AccessMap& access = {});
+           const AccessMap& access = {});
 
   void operator()(const BodyFn& body, const VoidFn& init = {},
                   const VoidFn& term = {}) const;
 
   const LoopNestPlan& plan() const { return *plan_; }
-  bool using_jit() const { return jit_ != nullptr; }
 
  private:
   std::shared_ptr<const LoopNestPlan> plan_;
-  std::shared_ptr<const class JitLoop> jit_;  // null => interpreter
 };
 
 // Paper-style sugar: the template parameter documents (and checks) the
@@ -57,16 +49,16 @@ template <int N>
 class ThreadedLoop : public LoopNest {
  public:
   ThreadedLoop(std::array<LoopSpecs, static_cast<std::size_t>(N)> specs,
-               const std::string& spec_string, Backend backend = Backend::kAuto,
-               const AccessMap& access = {})
+               const std::string& spec_string, const AccessMap& access = {})
       : LoopNest(std::vector<LoopSpecs>(specs.begin(), specs.end()),
-                 spec_string, backend, access) {
+                 spec_string, access) {
     static_assert(N >= 1 && N <= 26, "1..26 logical loops");
   }
 };
 
 // Number of plan constructions that found a cached plan vs built a new one
-// (Section II-B's "avoid JIT overheads whenever possible" caching claim).
+// (Section II-B's "avoid JIT overheads whenever possible" caching claim,
+// which here means plan construction).
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

@@ -132,6 +132,19 @@ void Session::pin_partition(int p, bool first_touch) {
   // state it will touch when serving real batches. Nests inside run() are
   // nested regions and degrade to serial walks, exactly as during serving.
   std::lock_guard<std::mutex> guard(exec_mu_);
+  // A lane a stepped request holds carries its live decode state (the LLM
+  // KV cache) between windows: warm only the free lanes. Lanes are handed
+  // out under exec_mu_, so none is taken while this pass runs.
+  std::vector<int> free_lanes;
+  {
+    std::lock_guard<std::mutex> g(lane_mu_);
+    for (int l = 0; l < lanes_; ++l) {
+      if (lane_busy_.empty() || !lane_busy_[static_cast<std::size_t>(l)]) {
+        free_lanes.push_back(l);
+      }
+    }
+  }
+  if (free_lanes.empty()) return;
   std::vector<float> in(static_cast<std::size_t>(input_elems_));
   std::vector<float> out(static_cast<std::size_t>(output_elems_));
   Xoshiro256 rng(0xC0FFEEull);
@@ -145,8 +158,9 @@ void Session::pin_partition(int p, bool first_touch) {
   common::fault::SuppressGuard no_chaos;  // first-touch warmup, not serving
   parallel_region_on(p, [&](int tid, int nthreads) {
     std::vector<float> local_out(out);  // lanes run concurrently
-    for (int l = tid; l < lanes_; l += nthreads) {
-      run(l, in.data(), local_out.data());
+    for (std::size_t i = static_cast<std::size_t>(tid); i < free_lanes.size();
+         i += static_cast<std::size_t>(nthreads)) {
+      run(free_lanes[i], in.data(), local_out.data());
     }
   });
 }

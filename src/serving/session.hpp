@@ -72,7 +72,7 @@ class Session {
   // partition count, so partition() always names a real sub-team). With
   // first_touch (the default and the ModelRegistry behaviour), a warmup
   // pass re-runs on that partition's sub-team, so lazily-built state —
-  // per-token-count plans, decode scratch, flat schedules, JITed kernels —
+  // per-token-count plans, decode scratch, flat schedules, TPP kernels —
   // is allocated and first-touched by the threads that will serve the
   // session's traffic (first-touch NUMA policy places those pages on the
   // partition's node). Idempotent per target.
@@ -154,7 +154,7 @@ class Session {
         flops_(flops) {}
 
   // Runs one synthetic request through every lane so plans, flat schedules
-  // and JITed kernels are resolved before the first real request arrives.
+  // and TPP kernels are resolved before the first real request arrives.
   void warmup();
 
   // For sessions whose flop count is only known after the model is built.

@@ -1,5 +1,5 @@
-// Static schedule verifier (src/analysis/): coverage, race-freedom and
-// backend-equivalence proofs over recorded ThreadPrograms, the mutation
+// Static schedule verifier (src/analysis/): coverage and race-freedom
+// proofs over recorded ThreadPrograms, the mutation
 // self-test, and the PLT_VERIFY_PLANS plan-compile-time hook.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "analysis/verifier.hpp"
 #include "common/status.hpp"
-#include "parlooper/jit_backend.hpp"
 #include "parlooper/threaded_loop.hpp"
 
 namespace plt::analysis {
@@ -193,22 +192,6 @@ TEST(Verifier, MutationSelfTestPasses) {
   EXPECT_EQ(mutation_self_test(), "");
 }
 
-// --- backend equivalence -----------------------------------------------------
-
-TEST(Verifier, BackendEquivalenceAcrossSpecFamilies) {
-  if (!parlooper::JitLoop::available()) GTEST_SKIP() << "no JIT compiler";
-  const char* specs[] = {"Ab", "aB", "AB", "ab", "aB|",
-                         "AB @ schedule(dynamic,2)"};
-  for (const char* spec : specs) {
-    LoopNestPlan plan({LoopSpecs{0, 4, 1}, LoopSpecs{0, 6, 1}}, spec);
-    for (int n : default_team_sizes()) {
-      const VerifyReport r = verify_plan(plan, n);
-      EXPECT_TRUE(r.ok()) << spec << " n=" << n << ": " << r.summary();
-      EXPECT_TRUE(r.backend_checked) << spec;
-    }
-  }
-}
-
 // --- plan-compile-time hook --------------------------------------------------
 
 // Unique bounds per test so the plan cache (keyed by bounds+spec) and the
@@ -219,15 +202,11 @@ TEST(VerifyPlansHook, Mode2FailsConstructionOfRacyPlan) {
   AccessMap everyone_writes_zero;
   everyone_writes_zero.add_write("x", {0}, 1);
   EXPECT_THROW(
-      parlooper::LoopNest({LoopSpecs{0, 13, 1}}, "A",
-                          parlooper::Backend::kInterpreter,
-                          everyone_writes_zero),
+      parlooper::LoopNest({LoopSpecs{0, 13, 1}}, "A", everyone_writes_zero),
       RuntimeError);
   // Not memoized on failure: constructing the same plan fails again.
   EXPECT_THROW(
-      parlooper::LoopNest({LoopSpecs{0, 13, 1}}, "A",
-                          parlooper::Backend::kInterpreter,
-                          everyone_writes_zero),
+      parlooper::LoopNest({LoopSpecs{0, 13, 1}}, "A", everyone_writes_zero),
       RuntimeError);
   ::unsetenv("PLT_VERIFY_PLANS");
 }
@@ -236,9 +215,7 @@ TEST(VerifyPlansHook, Mode1WarnsButConstructs) {
   ::setenv("PLT_VERIFY_PLANS", "1", 1);
   AccessMap everyone_writes_zero;
   everyone_writes_zero.add_write("x", {0}, 1);
-  parlooper::LoopNest nest({LoopSpecs{0, 17, 1}}, "A",
-                           parlooper::Backend::kInterpreter,
-                           everyone_writes_zero);
+  parlooper::LoopNest nest({LoopSpecs{0, 17, 1}}, "A", everyone_writes_zero);
   ::unsetenv("PLT_VERIFY_PLANS");
   int count = 0;
   nest([&](const std::int64_t*) { ++count; });
@@ -250,7 +227,7 @@ TEST(VerifyPlansHook, Mode2PassesCleanPlans) {
   AccessMap per_owner;
   per_owner.add_write("x", {1, 0}, 1);
   parlooper::LoopNest nest({LoopSpecs{0, 19, 1}, LoopSpecs{0, 3, 1}}, "Ab",
-                           parlooper::Backend::kInterpreter, per_owner);
+                           per_owner);
   ::unsetenv("PLT_VERIFY_PLANS");
   int count = 0;
   nest([&](const std::int64_t*) { ++count; });

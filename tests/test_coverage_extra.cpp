@@ -1,7 +1,6 @@
 // Breadth coverage: the corners the main suites don't reach — 3D explicit
 // thread grids, bf16 address/offset BRGEMM variants, dropout-enabled BERT
-// training, embeddings, single-token FC paths, whitespace-tolerant specs and
-// the JIT source generator for grid loops.
+// training, embeddings, single-token FC paths and whitespace-tolerant specs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,7 +9,6 @@
 
 #include "dl/bert.hpp"
 #include "dl/llm.hpp"
-#include "parlooper/jit_backend.hpp"
 #include "parlooper/threaded_loop.hpp"
 #include "test_utils.hpp"
 #include "tpp/brgemm.hpp"
@@ -29,8 +27,7 @@ TEST(ThreeDGrid, CoversEveryIterationOnce) {
   std::vector<parlooper::LoopSpecs> loops = {parlooper::LoopSpecs{0, 8, 1},
                                              parlooper::LoopSpecs{0, 6, 1},
                                              parlooper::LoopSpecs{0, 4, 1}};
-  parlooper::LoopNest nest(loops, "A{R:4}B{C:3}C{L:2}",
-                           parlooper::Backend::kInterpreter);
+  parlooper::LoopNest nest(loops, "A{R:4}B{C:3}C{L:2}");
   std::mutex mu;
   std::map<std::vector<std::int64_t>, int> visits;
   nest([&](const std::int64_t* ind) {
@@ -39,15 +36,6 @@ TEST(ThreeDGrid, CoversEveryIterationOnce) {
   });
   EXPECT_EQ(visits.size(), 8u * 6u * 4u);
   for (const auto& [k, v] : visits) EXPECT_EQ(v, 1);
-}
-
-TEST(ThreeDGrid, JitSourceEmitsCellLoop) {
-  std::vector<parlooper::LoopSpecs> loops = {parlooper::LoopSpecs{0, 8, 1},
-                                             parlooper::LoopSpecs{0, 6, 1}};
-  parlooper::LoopNestPlan plan(loops, "A{R:4}B{C:2}");
-  const std::string src = parlooper::JitLoop::generate_source(plan);
-  EXPECT_NE(src.find("plt_cell"), std::string::npos);
-  EXPECT_NE(src.find("plt_coord"), std::string::npos);
 }
 
 TEST(LoopSpec, WhitespaceTolerated) {

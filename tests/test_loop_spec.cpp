@@ -149,15 +149,5 @@ TEST(LoopSpecTermStep, BlockingListConsumedInOrder) {
   EXPECT_EQ(term_step(p, 3, loops), 1);   // a base step
 }
 
-TEST(LoopSpecStructuralKey, DiscriminatesStructureNotBounds) {
-  ParsedSpec p1 = parse_loop_spec("aBc", 3);
-  ParsedSpec p2 = parse_loop_spec("aBc", 3);
-  ParsedSpec p3 = parse_loop_spec("abC", 3);
-  EXPECT_EQ(structural_key(p1, 3), structural_key(p2, 3));
-  EXPECT_NE(structural_key(p1, 3), structural_key(p3, 3));
-  ParsedSpec p4 = parse_loop_spec("aBc @ schedule(dynamic,1)", 3);
-  EXPECT_NE(structural_key(p1, 3), structural_key(p4, 3));
-}
-
 }  // namespace
 }  // namespace plt::parlooper

@@ -104,8 +104,11 @@ struct FaultScope {
   ~FaultScope() { fault::reset(); }
 };
 
-// Blocks inside run() until released: parks the dispatcher so tests can
-// deterministically pile work up behind it (same idiom as test_serving).
+// Once armed, blocks inside run() until released: parks the dispatcher so
+// tests can deterministically pile work up behind it (same idiom as
+// test_serving). Unarmed it passes through, so the first-touch warmup that
+// ModelRegistry::add runs on a partitioned pool does not block; tests arm
+// it after registering.
 class BlockingSession final : public serving::Session {
  public:
   explicit BlockingSession(const std::string& name)
@@ -114,10 +117,14 @@ class BlockingSession final : public serving::Session {
 
   std::atomic<bool> entered{false};
 
+  void arm() { armed_.store(true, std::memory_order_release); }
+
   void run(int, const float* in, float* out) override {
-    entered.store(true, std::memory_order_release);
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return released_; });
+    if (armed_.load(std::memory_order_acquire)) {
+      entered.store(true, std::memory_order_release);
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [&] { return released_; });
+    }
     for (int i = 0; i < 4; ++i) out[i] = in[i] + 1.0f;
   }
 
@@ -136,6 +143,7 @@ class BlockingSession final : public serving::Session {
   }
 
  private:
+  std::atomic<bool> armed_{false};
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;
@@ -604,6 +612,7 @@ TEST(NetServing, DeadlineExpirySurfacesOnTheWire) {
   cfg.shards = 1;
   serving::ModelRegistry reg;
   reg.add(blocker);
+  blocker->arm();
   serving::RequestScheduler sched(cfg);
   Server server(reg, sched, ServerConfig{});
   ASSERT_TRUE(server.start().ok());
@@ -667,6 +676,7 @@ TEST(NetServing, LoadShedSurfacesAsResourceExhausted) {
   cfg.submit_timeout_usecs = 2000;
   serving::ModelRegistry reg;
   reg.add(blocker);
+  blocker->arm();
   serving::RequestScheduler sched(cfg);
   Server server(reg, sched, ServerConfig{});
   ASSERT_TRUE(server.start().ok());
@@ -1285,6 +1295,7 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
   reg.add(serving::make_mlp_session("mlp", tiny_mlp(), 4, 7));
   auto blocker = std::make_shared<BlockingSession>("blocker");
   reg.add(blocker);
+  blocker->arm();
   serving::RequestScheduler sched(cfg);
   Server server(reg, sched, ServerConfig{});
   ASSERT_TRUE(server.start().ok());
@@ -1360,6 +1371,7 @@ TEST(NetServing, DrainUnderLoadFlushesInFlightAndReleasesPort) {
   auto blocker = std::make_shared<BlockingSession>("blocker");
   serving::ModelRegistry reg;
   reg.add(blocker);
+  blocker->arm();
   serving::SchedulerConfig cfg;
   cfg.shards = 1;
   cfg.max_batch = 4;

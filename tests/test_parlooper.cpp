@@ -65,7 +65,7 @@ TEST_P(SpecSweepP, EveryIterationVisitedExactlyOnce) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 8, 1, {4, 2}},
                                   LoopSpecs{0, 16, 2, {8, 4}},
                                   LoopSpecs{0, 12, 3, {6}}};
-  LoopNest nest(loops, GetParam(), Backend::kInterpreter);
+  LoopNest nest(loops, GetParam());
   CoverageRecorder rec;
   nest(rec.body(3));
   const auto want = expected_triples(loops);
@@ -119,7 +119,7 @@ TEST(ThreadedLoop, PaperListing1GemmProducesCorrectResult) {
       loops[2].block_steps = {2};
     }
     std::fill(C.begin(), C.end(), -1.0f);
-    LoopNest gemm_loop(loops, spec, Backend::kInterpreter);
+    LoopNest gemm_loop(loops, spec);
     gemm_loop([&](const std::int64_t* ind) {
       const std::int64_t ik = ind[0], im = ind[1], in = ind[2];
       float* c_blk = C.data() + ((in * Mb + im) * bn * bm);
@@ -146,7 +146,7 @@ TEST(ThreadedLoop, PaperListing1GemmProducesCorrectResult) {
 TEST(ThreadedLoop, InitAndTermRunOncePerParticipant) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 4, 1, {}}};
   std::atomic<int> inits{0}, terms{0}, bodies{0};
-  LoopNest nest(loops, "A", Backend::kInterpreter);
+  LoopNest nest(loops, "A");
   nest([&](const std::int64_t*) { ++bodies; }, [&] { ++inits; },
        [&] { ++terms; });
   EXPECT_EQ(bodies.load(), 4);
@@ -157,7 +157,7 @@ TEST(ThreadedLoop, InitAndTermRunOncePerParticipant) {
 TEST(ThreadedLoop, SerialSpecRunsInitOnce) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 4, 1, {}}};
   std::atomic<int> inits{0}, bodies{0};
-  LoopNest nest(loops, "a", Backend::kInterpreter);
+  LoopNest nest(loops, "a");
   nest([&](const std::int64_t*) { ++bodies; }, [&] { ++inits; });
   EXPECT_EQ(bodies.load(), 4);
   EXPECT_EQ(inits.load(), 1);
@@ -167,7 +167,7 @@ TEST(ThreadedLoop, NonZeroStartsPropagate) {
   std::vector<LoopSpecs> loops = {LoopSpecs{4, 12, 2, {}},
                                   LoopSpecs{-6, 0, 3, {}}};
   CoverageRecorder rec;
-  LoopNest nest(loops, "ab", Backend::kInterpreter);
+  LoopNest nest(loops, "ab");
   nest(rec.body(2));
   EXPECT_EQ(rec.visits.size(), 4u * 2u);
   EXPECT_TRUE(rec.visits.count({4, -6}));
@@ -177,9 +177,9 @@ TEST(ThreadedLoop, NonZeroStartsPropagate) {
 TEST(ThreadedLoop, PlanCacheHitsOnRepeatedConstruction) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 64, 1, {8}}};
   const auto before = plan_cache_stats();
-  LoopNest n1(loops, "aa", Backend::kInterpreter);
-  LoopNest n2(loops, "aa", Backend::kInterpreter);
-  LoopNest n3(loops, "aa", Backend::kInterpreter);
+  LoopNest n1(loops, "aa");
+  LoopNest n2(loops, "aa");
+  LoopNest n3(loops, "aa");
   const auto after = plan_cache_stats();
   EXPECT_GE(after.hits - before.hits, 2u);
   EXPECT_EQ(after.misses - before.misses, 1u);
@@ -194,9 +194,8 @@ TEST(ThreadedLoop, TemplateSugarMatchesPaperSignature) {
 
 TEST(ThreadedLoop, InvalidSpecThrowsAtConstruction) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 4, 1, {}}};
-  EXPECT_THROW(LoopNest(loops, "ab", Backend::kInterpreter),
-               std::invalid_argument);
-  EXPECT_THROW(LoopNest(loops, "aa", Backend::kInterpreter),
+  EXPECT_THROW(LoopNest(loops, "ab"), std::invalid_argument);
+  EXPECT_THROW(LoopNest(loops, "aa"),
                std::invalid_argument);  // no blocking size declared
 }
 
@@ -206,7 +205,7 @@ TEST(ThreadedLoop, GridWiderThanTeamStillCoversAllIterations) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 32, 1, {}},
                                   LoopSpecs{0, 8, 1, {}}};
   CoverageRecorder rec;
-  LoopNest nest(loops, "A{R:16}B{C:2}", Backend::kInterpreter);
+  LoopNest nest(loops, "A{R:16}B{C:2}");
   nest(rec.body(2));
   EXPECT_EQ(rec.visits.size(), 32u * 8u);
   for (const auto& [triple, count] : rec.visits) EXPECT_EQ(count, 1);
@@ -215,8 +214,7 @@ TEST(ThreadedLoop, GridWiderThanTeamStillCoversAllIterations) {
 TEST(ThreadedLoop, BarrierWithExplicitGridRejected) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 8, 1, {}},
                                   LoopSpecs{0, 8, 1, {}}};
-  EXPECT_THROW(LoopNest(loops, "a|B{R:2}", Backend::kInterpreter),
-               std::invalid_argument);
+  EXPECT_THROW(LoopNest(loops, "a|B{R:2}"), std::invalid_argument);
 }
 
 }  // namespace

@@ -1440,6 +1440,34 @@ TEST(SchedulerDecode, SteppedMatchesMonolithicBitwise) {
   }
 }
 
+// Watchdog failover re-pins a session with a first-touch warmup while a
+// stepped request may hold a lane between its steps. The warmup must leave
+// that lane alone: running it would overwrite the request's KV cache, and
+// the remaining steps would decode against another input's prompt.
+TEST(SchedulerDecode, RewarmSkipsLanesHeldByRequests) {
+  auto llm = make_llm_session("llm_rewarm", tiny_llm(), /*prompt_len=*/4,
+                              /*gen_tokens=*/4, /*lanes=*/2, 37);
+  const auto in = make_input(*llm, 450);
+  std::vector<float> want(static_cast<std::size_t>(llm->output_elems()));
+  std::vector<float> got(want.size());
+  llm->run(0, in.data(), want.data());  // monolithic reference
+
+  constexpr int kTokensPerStep = 1;
+  const int steps = llm->step_count(kTokensPerStep);
+  ASSERT_GT(steps, 1);
+  const int lane = llm->acquire_lane();
+  ASSERT_GE(lane, 0);
+  llm->run_step(lane, in.data(), got.data(), 0, kTokensPerStep);
+  llm->pin_partition(llm->partition() == 1 ? 0 : 1);  // failover re-home
+  for (int step = 1; step < steps; ++step) {
+    llm->run_step(lane, in.data(), got.data(), step, kTokensPerStep);
+  }
+  llm->release_lane(lane);
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           want.size() * sizeof(float)));
+  test::expect_all_lanes_free(*llm);
+}
+
 // Brownout halves the decode window of new submits, so one pending group
 // holds 1-step requests (admitted before the brownout) next to 2-step ones
 // (admitted during it), and windows mix them. Each request must still take

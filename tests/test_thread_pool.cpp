@@ -24,7 +24,6 @@
 namespace plt {
 namespace {
 
-using parlooper::Backend;
 using parlooper::LoopNest;
 using parlooper::LoopSpecs;
 
@@ -104,7 +103,7 @@ TEST(ThreadPool, ConcurrentDispatchersFromUserThreadsDoNotDeadlock) {
   set_runtime(Runtime::kPool);
   constexpr int kDrivers = 4, kRepeats = 200;
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 16, 1, {}}};
-  LoopNest nest(loops, "A", Backend::kInterpreter);
+  LoopNest nest(loops, "A");
   std::atomic<std::int64_t> total{0};
   std::vector<std::thread> drivers;
   for (int d = 0; d < kDrivers; ++d) {
@@ -143,14 +142,13 @@ TEST(ThreadPool, NestedRecursiveNestBarrierCompletes) {
   // enclosing region, it degrades to a serial nested region whose barrier
   // must stay inside that one-member region: routed into the enclosing
   // team's barrier it would wait forever for members that never arrive.
+  static_assert(32 * 32 * 16 > parlooper::LoopNestPlan::kFlatScheduleMaxIters,
+                "the nest must be above the flat-schedule cap");
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 32, 1, {}},
                                   LoopSpecs{0, 32, 1, {}},
                                   LoopSpecs{0, 16, 1, {}}};
-  LoopNest nest(loops, "a|Bc", Backend::kInterpreter);
-  if (nest.plan().total_iterations() <=
-      parlooper::LoopNestPlan::flat_schedule_max_iters()) {
-    GTEST_SKIP() << "PLT_FLAT_SCHED_MAX covers the nest: no recursive path";
-  }
+  LoopNest nest(loops, "a|Bc");
+  ASSERT_EQ(nest.plan().team_schedule(1), nullptr);
   std::atomic<std::int64_t> visits{0};
   parallel_region([&](int tid, int) {
     if (tid != 0) return;
@@ -577,7 +575,7 @@ std::map<std::vector<std::int64_t>, int> run_coverage(const char* spec,
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 8, 1, {4, 2}},
                                   LoopSpecs{0, 16, 2, {8, 4}},
                                   LoopSpecs{0, 12, 3, {6}}};
-  LoopNest nest(loops, spec, Backend::kInterpreter);
+  LoopNest nest(loops, spec);
   Coverage cov;
   nest([&](const std::int64_t* ind) {
     std::vector<std::int64_t> v(ind, ind + 3);
@@ -623,7 +621,7 @@ TEST(RuntimeDeterminism, GemmBitwiseIdenticalAcrossRuntimes) {
     std::vector<LoopSpecs> loops = {LoopSpecs{0, Kb, 1, {}},
                                     LoopSpecs{0, Mb, 1, {}},
                                     LoopSpecs{0, Nb, 1, {}}};
-    LoopNest gemm(loops, "aBC", Backend::kInterpreter);
+    LoopNest gemm(loops, "aBC");
     gemm([&](const std::int64_t* ind) {
       const std::int64_t ik = ind[0], im = ind[1], in = ind[2];
       brgemm(a.data() + ((im * Kb + ik) * bk * bm),
@@ -651,10 +649,10 @@ TEST_P(FlatScheduleP, MatchesRecursiveSimulationPerThread) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 8, 1, {4, 2}},
                                   LoopSpecs{0, 16, 2, {8, 4}},
                                   LoopSpecs{0, 12, 3, {6}}};
-  LoopNest nest(loops, GetParam(), Backend::kInterpreter);
+  LoopNest nest(loops, GetParam());
   const parlooper::LoopNestPlan& plan = nest.plan();
   ASSERT_LE(plan.total_iterations(),
-            parlooper::LoopNestPlan::flat_schedule_max_iters());
+            parlooper::LoopNestPlan::kFlatScheduleMaxIters);
   for (int nthreads : {1, 2, 3, 5}) {
     const parlooper::TeamSchedule* sched = plan.team_schedule(nthreads);
     ASSERT_NE(sched, nullptr);
@@ -690,7 +688,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FlatSchedule, LookupIsMemoizedPerTeamSize) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 16, 1, {}}};
-  LoopNest nest(loops, "A", Backend::kInterpreter);
+  LoopNest nest(loops, "A");
   const auto* s1 = nest.plan().team_schedule(3);
   const auto* s2 = nest.plan().team_schedule(3);
   const auto* s4 = nest.plan().team_schedule(4);
@@ -699,10 +697,9 @@ TEST(FlatSchedule, LookupIsMemoizedPerTeamSize) {
 }
 
 TEST(FlatSchedule, HugeNestFallsBackToRecursive) {
-  const std::int64_t big =
-      parlooper::LoopNestPlan::flat_schedule_max_iters() + 1;
+  const std::int64_t big = parlooper::LoopNestPlan::kFlatScheduleMaxIters + 1;
   std::vector<LoopSpecs> loops = {LoopSpecs{0, big, 1, {}}};
-  LoopNest nest(loops, "A", Backend::kInterpreter);
+  LoopNest nest(loops, "A");
   EXPECT_EQ(nest.plan().team_schedule(2), nullptr);
   // Still executes correctly through the recursive path.
   std::atomic<std::int64_t> count{0};

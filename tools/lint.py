@@ -13,6 +13,9 @@ Checks invariants the C++ compiler cannot express:
   R3  plt::Status and plt::StatusOr stay [[nodiscard]] in
       src/common/status.hpp (the compiler enforces call sites; this guards
       the annotation itself against regressing).
+  R4  Every PLT_* name passed as a literal to env_int/env_int_quiet/
+      env_flag/env_str/env_enum under src/ appears in README.md, so no
+      knob is read that its users cannot look up.
 
 Exit status: 0 clean, 1 findings (each printed as file:line: message).
 """
@@ -90,6 +93,8 @@ def strip_comments(text):
 GETENV_RE = re.compile(r"\b(?:std::)?getenv\s*\(")
 REGION_RE = re.compile(r"\b(?:parallel_region|run_on)\s*\(")
 THROW_RE = re.compile(r"\bthrow\b")
+ENV_KNOB_RE = re.compile(
+    r'\benv_(?:int_quiet|int|flag|str|enum)\s*\(\s*"(PLT_[A-Z0-9_]+)"')
 GETENV_ALLOWED = {SRC / "common" / "env.cpp"}
 
 
@@ -139,11 +144,24 @@ def check_nodiscard():
                    "[[nodiscard]]")
 
 
+def check_knobs_documented(path, text, readme):
+    # Runs on the raw text: strip_comments blanks the string literals.
+    for m in ENV_KNOB_RE.finditer(text):
+        name = m.group(1)
+        if not re.search(rf"\b{name}\b", readme):
+            lineno = text.count("\n", 0, m.start()) + 1
+            report(path, lineno,
+                   f"knob {name} is read but not documented in README.md")
+
+
 def main():
+    readme = (REPO / "README.md").read_text()
     for path in sorted(SRC.rglob("*.cpp")) + sorted(SRC.rglob("*.hpp")):
-        code = strip_comments(path.read_text())
+        text = path.read_text()
+        code = strip_comments(text)
         check_getenv(path, code)
         check_region_throws(path, code)
+        check_knobs_documented(path, text, readme)
     check_nodiscard()
     if findings:
         for f in findings:

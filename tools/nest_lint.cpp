@@ -1,13 +1,11 @@
 // nest_lint: sweeps the static schedule verifier (src/analysis/) over every
 // loop-nest plan the model catalogue registers, for the canonical team sizes
 // {1, 2, 4, 8}, and prints a conformance table. Exit status 0 means every
-// plan proved coverage, race-freedom (against its attached access maps) and
-// interpreter/JIT schedule equivalence.
+// plan proved coverage and race-freedom (against its attached access maps).
 //
 //   nest_lint              full catalogue sweep
 //   nest_lint --self-test  mutation self-test (verifier must flag all three
 //                          corruption kinds on a known-good schedule)
-//   nest_lint --no-backend skip JIT equivalence (no compiler invocations)
 //
 // The catalogue instantiates every model family at CI-friendly sizes: the
 // kernels register plans (with access maps) by construction alone; the
@@ -27,13 +25,11 @@
 #include "kernels/conv_kernel.hpp"
 #include "kernels/gemm_kernel.hpp"
 #include "kernels/spmm_kernel.hpp"
-#include "parlooper/jit_backend.hpp"
 #include "parlooper/threaded_loop.hpp"
 #include "serving/session.hpp"
 
 namespace {
 
-using plt::analysis::VerifyOptions;
 using plt::analysis::VerifyReport;
 
 void register_catalogue() {
@@ -109,11 +105,9 @@ void register_catalogue() {
                    /*lanes=*/1, /*seed=*/7);
 }
 
-int run_sweep(bool check_backend) {
+int run_sweep() {
   register_catalogue();
 
-  VerifyOptions opts;
-  opts.check_backend = check_backend;
   const std::vector<int>& teams = plt::analysis::default_team_sizes();
 
   std::printf("%-34s %5s %8s %4s", "spec", "loops", "iters", "maps");
@@ -130,9 +124,9 @@ int run_sweep(bool check_backend) {
                 static_cast<long long>(plan.total_iterations()),
                 plan.access_maps().size());
     for (int n : teams) {
-      const VerifyReport report = plt::analysis::verify_plan(plan, n, opts);
+      const VerifyReport report = plt::analysis::verify_plan(plan, n);
       if (report.ok()) {
-        std::printf("  %-6s", report.backend_checked ? "OK" : "OK*");
+        std::printf("  %-6s", "OK");
       } else {
         ++failures;
         std::printf("  %-6s",
@@ -143,11 +137,7 @@ int run_sweep(bool check_backend) {
     }
     std::printf("\n");
   });
-  std::printf(
-      "\n%d plan(s), %d failing cell(s)%s\n", plans, failures,
-      check_backend && plt::parlooper::JitLoop::available()
-          ? ""
-          : "  (* = backend equivalence skipped)");
+  std::printf("\n%d plan(s), %d failing cell(s)\n", plans, failures);
   for (const std::string& d : details) std::printf("%s\n", d.c_str());
   return failures == 0 && plans > 0 ? 0 : 1;
 }
@@ -155,12 +145,11 @@ int run_sweep(bool check_backend) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool self_test = false, check_backend = true;
+  bool self_test = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--self-test") == 0) self_test = true;
-    else if (std::strcmp(argv[i], "--no-backend") == 0) check_backend = false;
     else {
-      std::fprintf(stderr, "usage: %s [--self-test] [--no-backend]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--self-test]\n", argv[0]);
       return 2;
     }
   }
@@ -174,5 +163,5 @@ int main(int argc, char** argv) {
                 "cross-barrier-swap all detected\n");
     return 0;
   }
-  return run_sweep(check_backend);
+  return run_sweep();
 }
