@@ -152,14 +152,25 @@ inline double small_nest_ns_per_invocation(int repeats = 20000) {
   std::vector<parlooper::LoopSpecs> loops = {
       parlooper::LoopSpecs{0, 4, 1, {}}, parlooper::LoopSpecs{0, 4, 1, {}}};
   parlooper::LoopNest nest(loops, "Ab");
-  volatile std::int64_t sink = 0;
-  // A prebuilt BodyFn so the measurement excludes std::function construction.
-  const parlooper::BodyFn body = [&](const std::int64_t* ind) {
-    sink += ind[0] + ind[1];
+  // One cache-line-padded sink per member: members write concurrently, so a
+  // shared one would be a data race (and false sharing in the timing).
+  struct alignas(64) Sink {
+    volatile std::int64_t v = 0;
+  };
+  std::vector<Sink> sinks(static_cast<std::size_t>(max_threads()));
+  // Each member finds its slot once per invocation (init), not per body.
+  static thread_local Sink* slot = nullptr;
+  const parlooper::VoidFn init = [&] {
+    slot = &sinks[static_cast<std::size_t>(thread_id())];
+  };
+  // Prebuilt functions so the measurement excludes std::function
+  // construction.
+  const parlooper::BodyFn body = [](const std::int64_t* ind) {
+    slot->v += ind[0] + ind[1];
   };
   const double s = time_best_seconds(
       [&] {
-        for (int i = 0; i < repeats; ++i) nest(body);
+        for (int i = 0; i < repeats; ++i) nest(body, init);
       },
       1, 3);
   return s / repeats * 1e9;

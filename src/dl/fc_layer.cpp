@@ -186,39 +186,32 @@ struct FcLayer::TokenPlan {
 
 FcLayer::~FcLayer() = default;
 
-FcLayer::TokenPlan& FcLayer::token_plan(std::int64_t S) const {
+FcLayer::TokenPlan* FcLayer::find_token_plan(std::int64_t S) const {
   for (auto& entry : token_plans_) {
-    if (entry.first == S) return *entry.second;
+    if (entry.first == S) return entry.second.get();
   }
+  return nullptr;
+}
+
+FcLayer::TokenPlan& FcLayer::token_plan(std::int64_t S) const {
+  PLT_CHECK(S <= cfg_.tokens, "fc: token count exceeds configured maximum");
+  if (TokenPlan* tp = find_token_plan(S)) return *tp;
   const std::int64_t bn = S % cfg_.bn == 0 ? cfg_.bn : 1;
   token_plans_.emplace_back(S, std::make_unique<TokenPlan>(cfg_, S, bn));
   return *token_plans_.back().second;
 }
 
-void FcLayer::forward_tokens(const float* input, std::int64_t S,
-                             float* output) const {
+void FcLayer::stage_input(const float* input, std::int64_t lo,
+                          std::int64_t hi) const {
+  bf16* staged = reinterpret_cast<bf16*>(in_stage_.data());
+  for (std::int64_t i = lo; i < hi; ++i) staged[i] = bf16::from_f32(input[i]);
+}
+
+parlooper::BodyFn FcLayer::tile_body(TokenPlan& tp, const void* b_panel,
+                                     float* output) const {
   const std::int64_t in_f = cfg_.in_features, out_f = cfg_.out_features;
   const std::int64_t Kb = in_f / cfg_.bk;
-  PLT_CHECK(S <= cfg_.tokens, "fc: token count exceeds configured maximum");
-
-  TokenPlan& tp = token_plan(S);
   const std::int64_t bn = tp.bn;
-
-  // The B operand: a row-major [S][in] activation is a column-major
-  // in x S matrix with ld = in.
-  const void* b_panel = input;
-  if (cfg_.dtype == DType::BF16) {
-    bf16* staged = reinterpret_cast<bf16*>(in_stage_.data());
-    for (std::int64_t i = 0; i < S * in_f; ++i)
-      staged[i] = bf16::from_f32(input[i]);
-    b_panel = staged;
-  }
-
-  tpp::BrgemmTPP& brgemm = tp.brgemm;
-  tpp::UnaryTPP& zero = tp.zero;
-  tpp::BinaryTPP& bias_tpp = tp.bias;
-  tpp::UnaryTPP& act_tpp = tp.act;
-
   const std::size_t esz = dtype_size(cfg_.dtype);
   const char* bp = static_cast<const char*>(b_panel);
   const std::int64_t a_blk =
@@ -227,27 +220,55 @@ void FcLayer::forward_tokens(const float* input, std::int64_t S,
   const bool has_act = cfg_.act != FcActivation::kNone;
   float* pre = preact_.data();
 
-  tp.nest([&](const std::int64_t* ind) {
+  return [=, &tp](const std::int64_t* ind) {
     const std::int64_t ik = ind[0], im = ind[1], is = ind[2];
     // C tile (bm x bn) inside the column-major out x S output.
     float* c_tile = output + im * cfg_.bm + is * bn * out_f;
-    if (ik == 0) zero(nullptr, c_tile);
-    brgemm(w_blocked_.data() + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
-           bp + static_cast<std::size_t>(ik * cfg_.bk + is * bn * in_f) * esz,
-           c_tile, 1);
+    if (ik == 0) tp.zero(nullptr, c_tile);
+    tp.brgemm(w_blocked_.data() + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
+              bp + static_cast<std::size_t>(ik * cfg_.bk + is * bn * in_f) * esz,
+              c_tile, 1);
     if (ik == Kb - 1) {
       if (cfg_.with_bias)
-        bias_tpp(bias_.data() + im * cfg_.bm, c_tile, c_tile);
+        tp.bias(bias_.data() + im * cfg_.bm, c_tile, c_tile);
       if (has_act) {
         // Save the pre-activation for the backward pass, then activate.
         float* p_tile = pre + im * cfg_.bm + is * bn * out_f;
         for (std::int64_t j = 0; j < bn; ++j)
           std::memcpy(p_tile + j * out_f, c_tile + j * out_f,
                       sizeof(float) * static_cast<std::size_t>(cfg_.bm));
-        act_tpp(c_tile, c_tile);
+        tp.act(c_tile, c_tile);
       }
     }
-  });
+  };
+}
+
+void FcLayer::forward_tokens(const float* input, std::int64_t S,
+                             float* output) const {
+  TokenPlan& tp = token_plan(S);
+
+  // The B operand: a row-major [S][in] activation is a column-major
+  // in x S matrix with ld = in.
+  const void* b_panel = input;
+  if (cfg_.dtype == DType::BF16) {
+    stage_input(input, 0, S * cfg_.in_features);
+    b_panel = in_stage_.data();
+  }
+  tp.nest(tile_body(tp, b_panel, output));
+}
+
+void FcLayer::forward_member(parlooper::TeamMember& m, const float* input,
+                             std::int64_t S, float* output) const {
+  TokenPlan* tp = find_token_plan(S);
+  PLT_CHECK(tp != nullptr, "fc: forward_member needs prepare_tokens(S) first");
+  const void* b_panel = input;
+  if (cfg_.dtype == DType::BF16) {
+    m.split(S * cfg_.in_features, [&](std::int64_t lo, std::int64_t hi) {
+      stage_input(input, lo, hi);
+    });
+    b_panel = in_stage_.data();
+  }
+  tp->nest.collective(m, tile_body(*tp, b_panel, output));
 }
 
 void FcLayer::zero_grad() {

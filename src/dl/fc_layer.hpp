@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "dl/tensor.hpp"
 #include "kernels/gemm_kernel.hpp"
+#include "parlooper/team.hpp"
 #include "tpp/binary.hpp"
 #include "tpp/unary.hpp"
 
@@ -56,6 +57,16 @@ class FcLayer {
   void forward_tokens(const float* input, std::int64_t tokens,
                       float* output) const;
 
+  // Builds the forward pipeline for `tokens` ahead of forward_member(),
+  // which only looks it up (members cannot build it concurrently).
+  void prepare_tokens(std::int64_t tokens) const { token_plan(tokens); }
+
+  // forward_tokens() as a collective call: every member of the current team
+  // region calls it (parlooper/team.hpp) and runs its share of the nest;
+  // ends in a region barrier. Bitwise equal to forward_tokens().
+  void forward_member(parlooper::TeamMember& m, const float* input,
+                      std::int64_t tokens, float* output) const;
+
   // grad_out: S x out fp32. Accumulates dweight_/dbias_ and writes grad_in
   // (S x in) unless null. `input` must be the forward input.
   void backward(const float* input, const float* grad_out, float* grad_in);
@@ -87,6 +98,12 @@ class FcLayer {
   // scratch; concurrent serving uses per-lane replicas.
   struct TokenPlan;
   TokenPlan& token_plan(std::int64_t S) const;
+  TokenPlan* find_token_plan(std::int64_t S) const;
+  // Converts input elements [lo, hi) into the bf16 staging panel.
+  void stage_input(const float* input, std::int64_t lo, std::int64_t hi) const;
+  // The nest body computing one (ik, im, is) output tile.
+  parlooper::BodyFn tile_body(TokenPlan& tp, const void* b_panel,
+                              float* output) const;
 
   FcConfig cfg_;
   Tensor weight_, bias_, dweight_, dbias_;

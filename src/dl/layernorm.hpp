@@ -26,6 +26,15 @@ class LayerNorm {
     fwd(in, gamma_.data(), beta_.data(), mean_.data(), var_.data(), out);
   }
 
+  // Rows [lo, hi) of forward(): rows are independent, so disjoint row
+  // ranges may run on different threads. in/out point at row 0.
+  void forward_rows(const float* in, float* out, std::int64_t lo,
+                    std::int64_t hi) const {
+    tpp::LayerNormFwd fwd{hi - lo, hidden_, 1e-5f};
+    fwd(in + lo * hidden_, gamma_.data(), beta_.data(), mean_.data() + lo,
+        var_.data() + lo, out + lo * hidden_);
+  }
+
   // `in` must be the forward input; accumulates dgamma/dbeta.
   void backward(const float* grad_out, const float* in, float* grad_in) {
     tpp::LayerNormBwd bwd{tokens_, hidden_};

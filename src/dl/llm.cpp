@@ -74,10 +74,18 @@ DecoderLayer::DecoderLayer(const LlmConfig& cfg, Xoshiro256& rng)
   dec_r1_.reshape({cfg_.hidden});
   dec_mid_.reshape({cfg_.ffn});
   dec_down_.reshape({cfg_.hidden});
-  dec_scores_.resize(static_cast<std::size_t>(cfg_.max_seq));
+  dec_scores_.reshape({cfg_.heads, cfg_.max_seq});
+  prepare_tokens(1);
+}
+
+void DecoderLayer::prepare_tokens(std::int64_t seq) const {
+  for (const FcLayer* fc : {&q_, &k_, &v_, &o_, &up_, &down_}) {
+    fc->prepare_tokens(seq);
+  }
 }
 
 void DecoderLayer::attention_prefill(const float* q, std::int64_t seq,
+                                     std::int64_t h_lo, std::int64_t h_hi,
                                      float* out) const {
   const std::int64_t H = cfg_.hidden, dh = cfg_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
@@ -89,7 +97,7 @@ void DecoderLayer::attention_prefill(const float* q, std::int64_t seq,
   std::vector<float> kt(static_cast<std::size_t>(seq * dh));
   std::vector<float> st(static_cast<std::size_t>(seq * seq));
   std::vector<float> vp(static_cast<std::size_t>(seq * dh));
-  for (std::int64_t h = 0; h < cfg_.heads; ++h) {
+  for (std::int64_t h = h_lo; h < h_hi; ++h) {
     const float* kh = k_cache_.data() + h * dh;
     const float* vh = v_cache_.data() + h * dh;
     const float* qh = q + h * dh;
@@ -111,32 +119,32 @@ void DecoderLayer::attention_prefill(const float* q, std::int64_t seq,
 }
 
 void DecoderLayer::attention_decode(const float* q, std::int64_t pos,
-                                    float* out) const {
+                                    std::int64_t h_lo, std::int64_t h_hi,
+                                    float* out) {
   const std::int64_t H = cfg_.hidden, dh = cfg_.head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   const std::int64_t len = pos + 1;
-  std::vector<float>& scores = dec_scores_;
-  for (std::int64_t h = 0; h < cfg_.heads; ++h) {
+  for (std::int64_t h = h_lo; h < h_hi; ++h) {
+    float* scores = dec_scores_.data() + h * cfg_.max_seq;
     const float* qh = q + h * dh;
     float mx = -1e30f;
     for (std::int64_t j = 0; j < len; ++j) {
       const float* kj = k_cache_.data() + j * H + h * dh;
       float dot = 0.0f;
       for (std::int64_t d = 0; d < dh; ++d) dot += qh[d] * kj[d];
-      scores[static_cast<std::size_t>(j)] = dot * scale;
+      scores[j] = dot * scale;
       mx = std::max(mx, dot * scale);
     }
     float sum = 0.0f;
     for (std::int64_t j = 0; j < len; ++j) {
-      scores[static_cast<std::size_t>(j)] =
-          std::exp(scores[static_cast<std::size_t>(j)] - mx);
-      sum += scores[static_cast<std::size_t>(j)];
+      scores[j] = std::exp(scores[j] - mx);
+      sum += scores[j];
     }
     const float inv = 1.0f / sum;
     float* oh = out + h * dh;
     for (std::int64_t d = 0; d < dh; ++d) oh[d] = 0.0f;
     for (std::int64_t j = 0; j < len; ++j) {
-      const float p = scores[static_cast<std::size_t>(j)] * inv;
+      const float p = scores[j] * inv;
       const float* vj = v_cache_.data() + j * H + h * dh;
       for (std::int64_t d = 0; d < dh; ++d) oh[d] += p * vj[d];
     }
@@ -144,61 +152,148 @@ void DecoderLayer::attention_decode(const float* q, std::int64_t pos,
 }
 
 void DecoderLayer::prefill(const float* x, std::int64_t seq, float* y) {
-  const std::int64_t H = cfg_.hidden;
-  PLT_CHECK(seq <= cfg_.max_seq, "llm: sequence exceeds max_seq");
-  // Pre-norm transformer block.
-  tpp::LayerNormFwd ln{seq, H, 1e-5f};
-  std::vector<float> mean(static_cast<std::size_t>(seq)), var(mean.size());
-  ln(x, ln1_.gamma().data(), ln1_.beta().data(), mean.data(), var.data(),
-     ln1_out_.data());
-
-  q_.forward_tokens(ln1_out_.data(), seq, qb_.data());
-  k_.forward_tokens(ln1_out_.data(), seq, k_cache_.data());
-  v_.forward_tokens(ln1_out_.data(), seq, v_cache_.data());
-  attention_prefill(qb_.data(), seq, ctx_.data());
-  o_.forward_tokens(ctx_.data(), seq, proj_.data());
-  for (std::int64_t i = 0; i < seq * H; ++i)
-    res1_[static_cast<std::size_t>(i)] = x[i] + proj_[static_cast<std::size_t>(i)];
-
-  ln(res1_.data(), ln2_.gamma().data(), ln2_.beta().data(), mean.data(),
-     var.data(), ln1_out_.data());
-  up_.forward_tokens(ln1_out_.data(), seq, ffn_mid_.data());
-  down_.forward_tokens(ffn_mid_.data(), seq, ffn_out_.data());
-  for (std::int64_t i = 0; i < seq * H; ++i)
-    y[i] = res1_[static_cast<std::size_t>(i)] + ffn_out_[static_cast<std::size_t>(i)];
+  prepare_tokens(seq);
+  parlooper::team_region(
+      [&](parlooper::TeamMember& m) { prefill_member(m, x, seq, y); });
 }
 
 void DecoderLayer::decode_one(const float* x, std::int64_t pos, float* y) {
-  const std::int64_t H = cfg_.hidden;
-  PLT_CHECK(pos < cfg_.max_seq, "llm: position exceeds max_seq");
-  tpp::LayerNormFwd ln{1, H, 1e-5f};
-  float mean, var;
-  float* normed = dec_normed_.data();
-  ln(x, ln1_.gamma().data(), ln1_.beta().data(), &mean, &var, normed);
-
-  float* qv = dec_qv_.data();
-  q_.forward_tokens(normed, 1, qv);
-  k_.forward_tokens(normed, 1, k_cache_.data() + pos * H);
-  v_.forward_tokens(normed, 1, v_cache_.data() + pos * H);
-
-  float* ctx = dec_ctx_.data();
-  attention_decode(qv, pos, ctx);
-  float* proj = dec_proj_.data();
-  o_.forward_tokens(ctx, 1, proj);
-  float* r1 = dec_r1_.data();
-  for (std::int64_t i = 0; i < H; ++i) r1[i] = x[i] + proj[i];
-
-  ln(r1, ln2_.gamma().data(), ln2_.beta().data(), &mean, &var, normed);
-  float* mid = dec_mid_.data();
-  up_.forward_tokens(normed, 1, mid);
-  float* down = dec_down_.data();
-  down_.forward_tokens(mid, 1, down);
-  for (std::int64_t i = 0; i < H; ++i) y[i] = r1[i] + down[i];
+  parlooper::team_region(
+      [&](parlooper::TeamMember& m) { decode_member(m, x, pos, y); });
 }
 
-LlmModel::LlmModel(LlmConfig cfg, Xoshiro256& rng) : cfg_(cfg) {
+void DecoderLayer::prefill_member(parlooper::TeamMember& m, const float* x,
+                                  std::int64_t seq, float* y) {
+  const std::int64_t H = cfg_.hidden;
+  PLT_CHECK(seq <= cfg_.max_seq, "llm: sequence exceeds max_seq");
+  // Pre-norm transformer block.
+  float* normed = ln1_out_.data();
+  m.split(seq, [&](std::int64_t lo, std::int64_t hi) {
+    ln1_.forward_rows(x, normed, lo, hi);
+  });
+
+  q_.forward_member(m, normed, seq, qb_.data());
+  k_.forward_member(m, normed, seq, k_cache_.data());
+  v_.forward_member(m, normed, seq, v_cache_.data());
+  m.split(cfg_.heads, [&](std::int64_t lo, std::int64_t hi) {
+    attention_prefill(qb_.data(), seq, lo, hi, ctx_.data());
+  });
+  o_.forward_member(m, ctx_.data(), seq, proj_.data());
+  m.split(seq, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo * H; i < hi * H; ++i)
+      res1_[static_cast<std::size_t>(i)] =
+          x[i] + proj_[static_cast<std::size_t>(i)];
+    ln2_.forward_rows(res1_.data(), normed, lo, hi);
+  });
+
+  up_.forward_member(m, normed, seq, ffn_mid_.data());
+  down_.forward_member(m, ffn_mid_.data(), seq, ffn_out_.data());
+  m.split(seq * H, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i)
+      y[i] = res1_[static_cast<std::size_t>(i)] +
+             ffn_out_[static_cast<std::size_t>(i)];
+  });
+}
+
+void DecoderLayer::decode_member(parlooper::TeamMember& m, const float* x,
+                                 std::int64_t pos, float* y) {
+  const std::int64_t H = cfg_.hidden;
+  PLT_CHECK(pos < cfg_.max_seq, "llm: position exceeds max_seq");
+  float* normed = dec_normed_.data();
+  m.single([&] { ln1_.forward_rows(x, normed, 0, 1); });
+
+  float* qv = dec_qv_.data();
+  q_.forward_member(m, normed, 1, qv);
+  k_.forward_member(m, normed, 1, k_cache_.data() + pos * H);
+  v_.forward_member(m, normed, 1, v_cache_.data() + pos * H);
+
+  float* ctx = dec_ctx_.data();
+  m.split(cfg_.heads, [&](std::int64_t lo, std::int64_t hi) {
+    attention_decode(qv, pos, lo, hi, ctx);
+  });
+  float* proj = dec_proj_.data();
+  o_.forward_member(m, ctx, 1, proj);
+  // One row: the residual add rides along with the layernorm reading it.
+  float* r1 = dec_r1_.data();
+  m.single([&] {
+    for (std::int64_t i = 0; i < H; ++i) r1[i] = x[i] + proj[i];
+    ln2_.forward_rows(r1, normed, 0, 1);
+  });
+
+  float* mid = dec_mid_.data();
+  up_.forward_member(m, normed, 1, mid);
+  float* down = dec_down_.data();
+  down_.forward_member(m, mid, 1, down);
+  m.split(H, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi; ++i) y[i] = r1[i] + down[i];
+  });
+}
+
+DecoderStack::DecoderStack(const LlmConfig& cfg, std::int64_t prompt_capacity,
+                           Xoshiro256& rng)
+    : cfg_(cfg), prompt_capacity_(prompt_capacity) {
+  PLT_CHECK(cfg.layers >= 1, "llm: a stack needs at least one layer");
+  PLT_CHECK(prompt_capacity >= 1 && prompt_capacity <= cfg.max_seq,
+            "llm: prompt capacity must be in [1, max_seq]");
   for (std::int64_t l = 0; l < cfg_.layers; ++l)
     layers_.push_back(std::make_unique<DecoderLayer>(cfg_, rng));
+  const std::size_t hs = static_cast<std::size_t>(prompt_capacity * cfg_.hidden);
+  ping_.assign(hs, 0.0f);
+  pong_.assign(hs, 0.0f);
+  for (std::vector<float>& t : tok_)
+    t.assign(static_cast<std::size_t>(cfg_.hidden), 0.0f);
+}
+
+void DecoderStack::step(const float* prompt, std::int64_t prompt_len,
+                        std::int64_t begin, std::int64_t end, float* out) {
+  const std::int64_t H = cfg_.hidden;
+  PLT_CHECK(prompt_len >= 1 && prompt_len <= prompt_capacity_,
+            "llm: prompt length exceeds the stack's capacity");
+  PLT_CHECK(begin <= end && prompt_len + end <= cfg_.max_seq,
+            "llm: prompt + generation exceeds max_seq");
+  if (prompt != nullptr) {
+    for (auto& layer : layers_) layer->prepare_tokens(prompt_len);
+  }
+  // Buffer roles are a pure function of the layer count, so every member
+  // (and the caller, afterwards) derives the same ones.
+  const std::size_t nlayers = layers_.size();
+  float* const pp[2] = {ping_.data(), pong_.data()};
+  parlooper::team_region([&](parlooper::TeamMember& m) {
+    int c = cur_;
+    if (prompt != nullptr) {
+      const float* src = prompt;
+      for (std::size_t l = 0; l < nlayers; ++l) {
+        layers_[l]->prefill_member(m, src, prompt_len, pp[l % 2]);
+        src = pp[l % 2];
+      }
+      const float* last = src + (prompt_len - 1) * H;
+      float* tok = tok_[c].data();
+      m.split(H, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t d = lo; d < hi; ++d) tok[d] = last[d] * 0.5f;
+      });
+    }
+    for (std::int64_t g = begin; g < end; ++g) {
+      const std::int64_t pos = prompt_len + g;
+      for (auto& layer : layers_) {
+        layer->decode_member(m, tok_[c].data(), pos, tok_[1 - c].data());
+        c = 1 - c;
+      }
+      if (out != nullptr) {
+        const float* tok = tok_[c].data();
+        m.split(H, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t d = lo; d < hi; ++d) out[g * H + d] = tok[d];
+        });
+      }
+    }
+  });
+  if (prompt != nullptr) prefilled_ = pp[(nlayers - 1) % 2];
+  if (((end - begin) * static_cast<std::int64_t>(nlayers)) % 2 != 0) {
+    cur_ = 1 - cur_;
+  }
+}
+
+LlmModel::LlmModel(LlmConfig cfg, Xoshiro256& rng)
+    : cfg_(cfg), stack_(cfg_, cfg_.max_seq, rng) {
   lm_head_.reshape({cfg_.vocab, cfg_.hidden});
   lm_head_.randn_uniform(rng, -0.05f, 0.05f);
 }
@@ -208,44 +303,30 @@ LlmModel::Timing LlmModel::generate(std::int64_t prompt_len,
   const std::int64_t H = cfg_.hidden;
   PLT_CHECK(prompt_len + gen_tokens <= cfg_.max_seq,
             "llm: prompt + generation exceeds max_seq");
-  Tensor x({prompt_len, H}), y({prompt_len, H});
+  Tensor x({prompt_len, H});
   x.randn_uniform(rng, -1.0f, 1.0f);
 
-  Timing t;
-  WallTimer prefill_timer;
-  for (auto& layer : layers_) {
-    layer->prefill(x.data(), prompt_len, y.data());
-    std::swap(x, y);
-  }
-  // LM head for the first generated token (argmax over the vocabulary).
+  // LM head (logits over the vocabulary) for the token in `h`.
   std::vector<float> logits(static_cast<std::size_t>(cfg_.vocab));
-  const float* last = x.data() + (prompt_len - 1) * H;
-  for (std::int64_t o = 0; o < cfg_.vocab; ++o) {
-    float acc = 0.0f;
-    for (std::int64_t d = 0; d < H; ++d)
-      acc += lm_head_[static_cast<std::size_t>(o * H + d)] * last[d];
-    logits[static_cast<std::size_t>(o)] = acc;
-  }
-  t.first_token_ms = prefill_timer.millis();
-
-  std::vector<float> tok(static_cast<std::size_t>(H)), tok_out(tok.size());
-  for (std::int64_t d = 0; d < H; ++d)
-    tok[static_cast<std::size_t>(d)] = last[d] * 0.5f;
-
-  WallTimer decode_timer;
-  for (std::int64_t g = 0; g < gen_tokens; ++g) {
-    const std::int64_t pos = prompt_len + g;
-    for (auto& layer : layers_) {
-      layer->decode_one(tok.data(), pos, tok_out.data());
-      std::swap(tok, tok_out);
-    }
+  const auto lm_head = [&](const float* h) {
     for (std::int64_t o = 0; o < cfg_.vocab; ++o) {
       float acc = 0.0f;
       for (std::int64_t d = 0; d < H; ++d)
-        acc += lm_head_[static_cast<std::size_t>(o * H + d)] *
-               tok[static_cast<std::size_t>(d)];
+        acc += lm_head_[static_cast<std::size_t>(o * H + d)] * h[d];
       logits[static_cast<std::size_t>(o)] = acc;
     }
+  };
+
+  Timing t;
+  WallTimer prefill_timer;
+  stack_.step(x.data(), prompt_len, 0, 0, nullptr);
+  lm_head(stack_.prefill_output() + (prompt_len - 1) * H);
+  t.first_token_ms = prefill_timer.millis();
+
+  WallTimer decode_timer;
+  for (std::int64_t g = 0; g < gen_tokens; ++g) {
+    stack_.step(nullptr, prompt_len, g, g + 1, nullptr);
+    lm_head(stack_.token());
   }
   t.per_next_token_ms =
       gen_tokens > 0 ? decode_timer.millis() / static_cast<double>(gen_tokens)

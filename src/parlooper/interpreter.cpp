@@ -16,6 +16,7 @@ struct ThreadExec {
   int nthreads;
   bool simulated = false;  // skip barriers when replaying a single thread
   const VoidFn* on_barrier = nullptr;    // trace hook (schedule precompiler)
+  TeamMember* member = nullptr;          // live execution: failure state
   std::int64_t coord[4] = {0, 0, 0, 0};  // index by GridAxis
   std::vector<std::int64_t> cur;         // current value per level
   std::vector<std::int64_t> ind;         // body's logical-index array
@@ -49,7 +50,19 @@ struct ThreadExec {
       ind[static_cast<std::size_t>(l)] =
           cur[static_cast<std::size_t>(plan.innermost_level()[static_cast<std::size_t>(l)])];
     }
-    body(ind.data());
+    if (member != nullptr) {
+      member->run([&] { body(ind.data()); });
+    } else {
+      body(ind.data());
+    }
+  }
+
+  void barrier() {
+    if (on_barrier != nullptr) {
+      (*on_barrier)();
+    } else if (!simulated && nthreads > 1) {
+      thread_barrier();
+    }
   }
 
   void run_level(std::size_t li) {
@@ -66,13 +79,7 @@ struct ThreadExec {
       // brace does. (Mid-group barriers are rejected by validate_spec; they
       // could never fire a consistent number of times.)
       const std::size_t gend = li + static_cast<std::size_t>(lvl.group_size);
-      if (plan.levels()[gend - 1].term.barrier_after) {
-        if (on_barrier != nullptr) {
-          (*on_barrier)();
-        } else if (!simulated) {
-          thread_barrier();
-        }
-      }
+      if (plan.levels()[gend - 1].term.barrier_after) barrier();
       return;
     }
 
@@ -96,13 +103,7 @@ struct ThreadExec {
       cur[li] = base + it * lvl.step;
       run_level(li + 1);
     }
-    if (lvl.term.barrier_after) {
-      if (on_barrier != nullptr) {
-        (*on_barrier)();
-      } else if (!simulated) {
-        thread_barrier();
-      }
-    }
+    if (lvl.term.barrier_after) barrier();
   }
 
   // PAR-MODE 1: flatten the group's (constant) trip counts row-major and
@@ -170,14 +171,16 @@ void traverse_thread(ThreadExec& exec) {
 // exactly the index tuples the recursive traversal would have produced, with
 // real barriers at segment boundaries.
 void walk_program(const ThreadProgram& prog, int num_logical,
-                  const BodyFn& body, bool live_barriers) {
+                  const BodyFn& body, TeamMember& m, bool live_barriers) {
   const std::int64_t* ind = prog.inds.data();
   const std::size_t nseg = prog.seg_len.size();
   for (std::size_t s = 0; s < nseg; ++s) {
-    for (std::int64_t i = 0; i < prog.seg_len[s]; ++i) {
-      body(ind);
-      ind += num_logical;
-    }
+    const std::int64_t len = prog.seg_len[s];
+    m.run([&] {
+      const std::int64_t* it = ind;
+      for (std::int64_t i = 0; i < len; ++i, it += num_logical) body(it);
+    });
+    ind += len * num_logical;
     if (live_barriers && s + 1 < nseg) thread_barrier();
   }
 }
@@ -255,32 +258,29 @@ const TeamSchedule* LoopNestPlan::team_schedule(int nthreads) const {
   return sched;
 }
 
-void run_interpreter(const LoopNestPlan& plan, const BodyFn& body,
-                     const VoidFn& init, const VoidFn& term) {
-  if (!plan.any_parallel()) {
-    // No parallel letters: a serial nest. (Running it redundantly on every
-    // thread, as the raw Listing-2 code would, duplicates the computation.)
-    if (init) init();
-    if (const TeamSchedule* sched = plan.team_schedule(1)) {
-      walk_program(sched->threads[0], plan.num_logical(), body, false);
-    } else {
-      ThreadExec exec(plan, body, 0, 1);
+void run_member(const LoopNestPlan& plan, TeamMember& m, const BodyFn& body,
+                const VoidFn& init, const VoidFn& term) {
+  // A serial nest (no parallel letters) runs whole on member 0; running it
+  // redundantly on every member, as the raw Listing-2 code would, duplicates
+  // the computation.
+  const bool serial = !plan.any_parallel();
+  if (serial && m.tid() != 0) return;
+  const int tid = m.tid();
+  const int nthreads = serial ? 1 : m.nthreads();
+  if (init) m.run(init);
+  if (const TeamSchedule* sched = plan.team_schedule(nthreads)) {
+    walk_program(sched->threads[static_cast<std::size_t>(tid)],
+                 plan.num_logical(), body, m, nthreads > 1);
+  } else {
+    ThreadExec exec(plan, body, tid, nthreads);
+    exec.member = &m;
+    if (serial) {
       exec.run_level(0);
-    }
-    if (term) term();
-    return;
-  }
-  parallel_region([&](int tid, int nthreads) {
-    if (init) init();
-    if (const TeamSchedule* sched = plan.team_schedule(nthreads)) {
-      walk_program(sched->threads[static_cast<std::size_t>(tid)],
-                   plan.num_logical(), body, nthreads > 1);
     } else {
-      ThreadExec exec(plan, body, tid, nthreads);
       traverse_thread(exec);
     }
-    if (term) term();
-  });
+  }
+  if (term) m.run(term);
 }
 
 void simulate_thread(const LoopNestPlan& plan, int tid, int nthreads,

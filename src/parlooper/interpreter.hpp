@@ -15,14 +15,21 @@
 #include <functional>
 
 #include "parlooper/nest_plan.hpp"
+#include "parlooper/team.hpp"
 
 namespace plt::parlooper {
 
 using BodyFn = std::function<void(const std::int64_t* ind)>;
 using VoidFn = std::function<void()>;
 
-void run_interpreter(const LoopNestPlan& plan, const BodyFn& body,
-                     const VoidFn& init = {}, const VoidFn& term = {});
+// Executes member m's share of the plan: the per-team flat schedule's
+// program for (m.tid(), m.nthreads()), or the recursive walk, with region
+// barriers at the plan's barrier points. A serial nest (no parallel letters)
+// runs whole on member 0. Opens no region and adds no trailing barrier.
+// Exceptions from body/init/term are recorded on m; the member then skips
+// its remaining bodies but still arrives at every barrier.
+void run_member(const LoopNestPlan& plan, TeamMember& m, const BodyFn& body,
+                const VoidFn& init = {}, const VoidFn& term = {});
 
 // Enumerates, in program order, the body invocations that thread `tid` of a
 // team of `nthreads` would execute — without running any other thread and

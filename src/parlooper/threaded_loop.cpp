@@ -78,12 +78,39 @@ LoopNest::LoopNest(std::vector<LoopSpecs> loops, const std::string& spec_string,
   analysis::maybe_verify_at_plan_compile(*plan_);
 }
 
+namespace {
+
+// One member's part of one nest invocation.
+void invoke_member(const LoopNestPlan& plan, TeamMember& m, const BodyFn& body,
+                   const VoidFn& init, const VoidFn& term) {
+  // Chaos-test hook: one fault point per nest invocation, drawn by member 0
+  // (the caller when the region degraded). Unarmed cost is one relaxed load
+  // + branch.
+  if (m.tid() == 0) {
+    m.run([] { common::fault::fire_point(common::fault::Site::kKernelExec); });
+  }
+  run_member(plan, m, body, init, term);
+}
+
+}  // namespace
+
 void LoopNest::operator()(const BodyFn& body, const VoidFn& init,
                           const VoidFn& term) const {
-  // Chaos-test hook: one fault point per nest invocation. Unarmed cost is
-  // one relaxed load + branch.
-  common::fault::fire_point(common::fault::Site::kKernelExec);
-  run_interpreter(*plan_, body, init, term);
+  if (!plan_->any_parallel()) {
+    TeamState state;
+    TeamMember caller(state, 0, 1);
+    invoke_member(*plan_, caller, body, init, term);
+    state.rethrow_if_failed();
+    return;
+  }
+  // The region's join is the trailing barrier.
+  team_region([&](TeamMember& m) { invoke_member(*plan_, m, body, init, term); });
+}
+
+void LoopNest::collective(TeamMember& m, const BodyFn& body, const VoidFn& init,
+                          const VoidFn& term) const {
+  invoke_member(*plan_, m, body, init, term);
+  m.barrier();
 }
 
 }  // namespace plt::parlooper

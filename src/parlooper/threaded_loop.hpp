@@ -11,6 +11,7 @@
 // runtime with zero user-code change. Plans are cached, so repeated
 // construction with the same spec is a lookup, not a re-compile; the
 // interpreter executes them (flat per-team schedules for small nests).
+// Nests compose inside one team region through collective() (team.hpp).
 #pragma once
 
 #include <array>
@@ -34,7 +35,19 @@ class LoopNest {
   LoopNest(std::vector<LoopSpecs> loops, const std::string& spec_string,
            const AccessMap& access = {});
 
+  // Standalone invocation: opens one team region (nested inside another
+  // region it degrades to one member on the caller) and runs every member's
+  // share; a serial nest runs on the caller without a region. Exactly
+  // team_region([&](TeamMember& m) { member's share of collective(m, ...) }).
   void operator()(const BodyFn& body, const VoidFn& init = {},
+                  const VoidFn& term = {}) const;
+
+  // Collective invocation: called by every member of the current team
+  // region (team.hpp), each with its own TeamMember. Walks member m's share
+  // of the schedule — the same (tid, nthreads) partitioning a standalone
+  // call uses — and ends in a region barrier; opens no region. A throw is
+  // recorded on m and rethrown by team_region(), never mid-protocol.
+  void collective(TeamMember& m, const BodyFn& body, const VoidFn& init = {},
                   const VoidFn& term = {}) const;
 
   const LoopNestPlan& plan() const { return *plan_; }

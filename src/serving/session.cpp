@@ -299,7 +299,6 @@ class LlmSession final : public Session {
              std::uint64_t seed)
       : Session(name, lanes, prompt_len * cfg.hidden, gen_tokens * cfg.hidden,
                 llm_flops(cfg, prompt_len, gen_tokens)),
-        cfg_(cfg),
         prompt_len_(prompt_len),
         gen_tokens_(gen_tokens) {
     PLT_CHECK(prompt_len >= 1 && gen_tokens >= 1,
@@ -308,30 +307,21 @@ class LlmSession final : public Session {
               "serving: prompt + generation exceeds max_seq");
     for (int l = 0; l < this->lanes(); ++l) {
       Xoshiro256 rng(seed);
-      Lane lane;
-      for (std::int64_t i = 0; i < cfg.layers; ++i) {
-        lane.layers.push_back(std::make_unique<dl::DecoderLayer>(cfg, rng));
-      }
-      const std::size_t hs =
-          static_cast<std::size_t>(prompt_len * cfg.hidden);
-      lane.ping.assign(hs, 0.0f);
-      lane.pong.assign(hs, 0.0f);
-      lane.tok.assign(static_cast<std::size_t>(cfg.hidden), 0.0f);
-      lane.tok_out.assign(static_cast<std::size_t>(cfg.hidden), 0.0f);
-      lanes_.push_back(std::move(lane));
+      lanes_.push_back(
+          std::make_unique<dl::DecoderStack>(cfg, prompt_len, rng));
     }
     warmup();
   }
 
   // Monolithic run() is literally the stepped pipeline executed in one call:
-  // prefill, then every decode token. Stepped execution (run_step) replays
-  // the exact same per-lane operation sequence split at token boundaries, so
-  // "stepped == monolithic" holds bitwise by construction — the scheduler
-  // tests assert it end to end anyway.
+  // prefill, then every decode token, through the same DecoderStack::step
+  // that run_step() calls per window (one team region per call). Stepped
+  // execution replays the exact same per-lane operation sequence split at
+  // token boundaries, so "stepped == monolithic" holds bitwise by
+  // construction — the scheduler tests assert it end to end anyway.
   void run(int lane_id, const float* in, float* out) override {
-    Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-    prefill_lane(lane, in);
-    decode_range(lane, 0, gen_tokens_, out);
+    lanes_[static_cast<std::size_t>(lane_id)]->step(in, prompt_len_, 0,
+                                                    gen_tokens_, out);
   }
 
   bool steppable() const override { return true; }
@@ -342,64 +332,25 @@ class LlmSession final : public Session {
     return static_cast<int>((gen_tokens_ + tps - 1) / tps);
   }
 
+  // Step 0 prefills the prompt and seeds the first decode token from its
+  // last position, exactly as LlmModel::generate does; every step then
+  // decodes its token range against the lane's KV caches, which carry the
+  // autoregressive state between steps.
   void run_step(int lane_id, const float* in, float* out, int step,
                 int tokens_per_step) override {
     if (tokens_per_step <= 0) {
       run(lane_id, in, out);
       return;
     }
-    Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-    if (step == 0) prefill_lane(lane, in);
     const std::int64_t begin =
         static_cast<std::int64_t>(step) * tokens_per_step;
     const std::int64_t end =
         std::min<std::int64_t>(gen_tokens_, begin + tokens_per_step);
-    decode_range(lane, begin, end, out);
+    lanes_[static_cast<std::size_t>(lane_id)]->step(
+        step == 0 ? in : nullptr, prompt_len_, begin, end, out);
   }
 
  private:
-  struct Lane {
-    std::vector<std::unique_ptr<dl::DecoderLayer>> layers;
-    std::vector<float> ping, pong, tok, tok_out;
-  };
-
-  // Prefill every layer over the prompt and seed the first decode token from
-  // the last prompt position, exactly as LlmModel::generate does. Leaves the
-  // decode state (KV caches + lane.tok) ready for token 0.
-  void prefill_lane(Lane& lane, const float* in) {
-    const std::int64_t H = cfg_.hidden;
-    const float* src = in;
-    float* a = lane.ping.data();
-    float* b = lane.pong.data();
-    for (auto& layer : lane.layers) {
-      layer->prefill(src, prompt_len_, a);
-      src = a;
-      std::swap(a, b);
-    }
-    const float* last = src + (prompt_len_ - 1) * H;
-    for (std::int64_t d = 0; d < H; ++d) {
-      lane.tok[static_cast<std::size_t>(d)] = last[d] * 0.5f;
-    }
-  }
-
-  // Decodes tokens [begin, end) against the lane's live KV cache, writing
-  // row g of `out` for each. The lane carries the autoregressive state
-  // between calls, so consecutive ranges compose into one full decode.
-  void decode_range(Lane& lane, std::int64_t begin, std::int64_t end,
-                    float* out) {
-    const std::int64_t H = cfg_.hidden;
-    for (std::int64_t g = begin; g < end; ++g) {
-      const std::int64_t pos = prompt_len_ + g;
-      for (auto& layer : lane.layers) {
-        layer->decode_one(lane.tok.data(), pos, lane.tok_out.data());
-        std::swap(lane.tok, lane.tok_out);
-      }
-      for (std::int64_t d = 0; d < H; ++d) {
-        out[g * H + d] = lane.tok[static_cast<std::size_t>(d)];
-      }
-    }
-  }
-
   static double llm_flops(const dl::LlmConfig& cfg, std::int64_t prompt,
                           std::int64_t gen) {
     const double h = static_cast<double>(cfg.hidden);
@@ -410,10 +361,9 @@ class LlmSession final : public Session {
     return per_layer * static_cast<double>(cfg.layers);
   }
 
-  dl::LlmConfig cfg_;
   std::int64_t prompt_len_;
   std::int64_t gen_tokens_;
-  std::vector<Lane> lanes_;
+  std::vector<std::unique_ptr<dl::DecoderStack>> lanes_;
 };
 
 // --- ResNet-50 --------------------------------------------------------------

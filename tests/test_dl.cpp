@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dl/attention.hpp"
 #include "dl/bert.hpp"
 #include "dl/fc_layer.hpp"
 #include "dl/llm.hpp"
 #include "dl/sparse_fc.hpp"
+#include "common/fault.hpp"
+#include "common/status.hpp"
+#include "common/threading.hpp"
 #include "test_utils.hpp"
 
 namespace plt::dl {
@@ -372,6 +376,131 @@ TEST(LlmModel, DecodeMatchesPrefillForSameToken) {
                 y_full[static_cast<std::size_t>((S - 1) * H + d)], 1e-3f)
         << d;
   }
+}
+
+// --- the LLM step: one team region per step ----------------------------------
+
+LlmConfig step_cfg() {
+  LlmConfig c;
+  c.hidden = 64;
+  c.heads = 4;
+  c.layers = 3;
+  c.ffn = 128;
+  c.max_seq = 40;
+  c.bm = c.bn = c.bk = 16;
+  return c;
+}
+
+constexpr std::int64_t kStepPrompt = 16, kStepGen = 6;
+
+std::vector<Runtime> built_runtimes() {
+  std::vector<Runtime> rts = {Runtime::kSerial, Runtime::kPool};
+#if defined(PLT_HAVE_OPENMP)
+  rts.push_back(Runtime::kOpenMP);
+#endif
+  return rts;
+}
+
+// Stepped generation as serving runs it: step 0 = prefill + first token,
+// then one step per token. Returns the [gen][hidden] token states.
+std::vector<float> stepped_generation(DecoderStack& stack,
+                                      const std::vector<float>& prompt) {
+  std::vector<float> out(static_cast<std::size_t>(kStepGen * step_cfg().hidden));
+  for (std::int64_t g = 0; g < kStepGen; ++g) {
+    stack.step(g == 0 ? prompt.data() : nullptr, kStepPrompt, g, g + 1,
+               out.data());
+  }
+  return out;
+}
+
+// Every runtime, and every PLT_NUM_THREADS team size (ctest runs this suite
+// as test_dl_threads{1,2,3,4}), reproduces the serial runtime's bits; the
+// monolithic one-step generation matches the stepped one.
+TEST(DecoderStack, StepsBitwiseEqualAcrossRuntimesAndTeamSizes) {
+  const auto prompt = random_vec(
+      static_cast<std::size_t>(kStepPrompt * step_cfg().hidden), 81);
+  const Runtime saved = runtime();
+  std::vector<float> ref;
+  for (Runtime rt : built_runtimes()) {
+    set_runtime(rt);
+    Xoshiro256 rng(82);
+    DecoderStack stack(step_cfg(), kStepPrompt, rng);
+    const std::vector<float> stepped = stepped_generation(stack, prompt);
+    std::vector<float> whole(stepped.size());
+    stack.step(prompt.data(), kStepPrompt, 0, kStepGen, whole.data());
+    plt::test::expect_bitwise(whole.data(), stepped.data(), whole.size(),
+                              runtime_name(rt));
+    if (ref.empty()) ref = stepped;
+    plt::test::expect_bitwise(stepped.data(), ref.data(), ref.size(),
+                              runtime_name(rt));
+  }
+  set_runtime(saved);
+}
+
+// The member-side layer bodies at every region width 1 .. team + 1 give the
+// one-member result bit for bit (prefill and decode).
+TEST(DecoderStack, LayerMembersBitwiseEqualAtEveryRegionWidth) {
+  const LlmConfig cfg = step_cfg();
+  const std::int64_t S = kStepPrompt, H = cfg.hidden;
+  const auto x = random_vec(static_cast<std::size_t>(S * H), 83);
+  std::vector<float> ref_pre, ref_dec;
+  for (int w = 1; w <= max_threads() + 1; ++w) {
+    Xoshiro256 rng(84);
+    DecoderLayer layer(cfg, rng);
+    layer.prepare_tokens(S);
+    std::vector<float> pre(static_cast<std::size_t>(S * H));
+    std::vector<float> dec(static_cast<std::size_t>(H));
+    parlooper::team_region(
+        [&](parlooper::TeamMember& m) {
+          layer.prefill_member(m, x.data(), S, pre.data());
+          layer.decode_member(m, pre.data() + (S - 1) * H, S, dec.data());
+        },
+        w);
+    if (w == 1) {
+      ref_pre = pre;
+      ref_dec = dec;
+      continue;
+    }
+    const std::string what = "width " + std::to_string(w);
+    plt::test::expect_bitwise(pre.data(), ref_pre.data(), pre.size(), what);
+    plt::test::expect_bitwise(dec.data(), ref_dec.data(), dec.size(), what);
+  }
+}
+
+// An injected kernel fault inside the step region reaches the caller under
+// every runtime without a hang, draws exactly one kernel_exec event (member 0
+// of the first nest; everything after it is skipped), and leaves the stack
+// usable: the next generation reproduces the reference bits.
+TEST(DecoderStack, KernelFaultInStepReachesCallerUnderEveryRuntime) {
+  namespace fault = common::fault;
+  const auto prompt = random_vec(
+      static_cast<std::size_t>(kStepPrompt * step_cfg().hidden), 85);
+  const Runtime saved = runtime();
+  for (Runtime rt : built_runtimes()) {
+    set_runtime(rt);
+    Xoshiro256 rng(86);
+    DecoderStack stack(step_cfg(), kStepPrompt, rng);
+    const std::vector<float> ref = stepped_generation(stack, prompt);
+
+    std::vector<float> out(ref.size());
+    fault::configure("kernel_exec:throw:1", 9);
+    try {
+      stack.step(prompt.data(), kStepPrompt, 0, kStepGen, out.data());
+      ADD_FAILURE() << runtime_name(rt) << ": injected fault did not surface";
+    } catch (const RuntimeError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kInternal) << runtime_name(rt);
+    }
+    EXPECT_EQ(fault::evaluated(fault::Site::kKernelExec), 1u)
+        << runtime_name(rt);
+    EXPECT_EQ(fault::injected(fault::Site::kKernelExec), 1u)
+        << runtime_name(rt);
+    fault::reset();
+
+    const std::vector<float> again = stepped_generation(stack, prompt);
+    plt::test::expect_bitwise(again.data(), ref.data(), ref.size(),
+                              runtime_name(rt));
+  }
+  set_runtime(saved);
 }
 
 }  // namespace

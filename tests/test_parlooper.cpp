@@ -6,6 +6,9 @@
 #include <set>
 #include <vector>
 
+#include "common/status.hpp"
+#include "common/threading.hpp"
+#include "parlooper/team.hpp"
 #include "parlooper/threaded_loop.hpp"
 #include "test_utils.hpp"
 #include "tpp/brgemm.hpp"
@@ -215,6 +218,155 @@ TEST(ThreadedLoop, BarrierWithExplicitGridRejected) {
   std::vector<LoopSpecs> loops = {LoopSpecs{0, 8, 1, {}},
                                   LoopSpecs{0, 8, 1, {}}};
   EXPECT_THROW(LoopNest(loops, "a|B{R:2}"), std::invalid_argument);
+}
+
+// --- collective invocation ---------------------------------------------------
+
+std::vector<Runtime> built_runtimes() {
+  std::vector<Runtime> rts = {Runtime::kSerial, Runtime::kPool};
+#if defined(PLT_HAVE_OPENMP)
+  rts.push_back(Runtime::kOpenMP);
+#endif
+  return rts;
+}
+
+// A collective call by every member of a w-wide team region visits, per
+// member and in order, exactly the program thread tid of a w-wide team is
+// scheduled; at w = team that is what a standalone call runs. Swept over
+// region widths 1 .. team + 1 (the last clamps to the team) on flat,
+// recursive, barrier, grid, dynamic and serial plans.
+TEST(Collective, VisitsTheStandaloneScheduleAtEveryRegionWidth) {
+  const std::vector<LoopSpecs> small = {LoopSpecs{0, 8, 1, {4, 2}},
+                                        LoopSpecs{0, 16, 2, {8, 4}},
+                                        LoopSpecs{0, 12, 3, {6}}};
+  const std::vector<LoopSpecs> large = {LoopSpecs{0, 32, 1, {}},
+                                        LoopSpecs{0, 32, 1, {}},
+                                        LoopSpecs{0, 16, 1, {}}};
+  const std::vector<std::pair<std::vector<LoopSpecs>, const char*>> cases = {
+      {small, "aBC"},
+      {small, "a|Bc"},
+      {small, "bC{R:2}aB{C:2}cb"},
+      {small, "aBC @ schedule(dynamic,4)"},
+      {small, "abc"},
+      {large, "a|Bc"}};
+  const int team = max_threads();
+  for (const auto& [loops, spec] : cases) {
+    LoopNest nest(loops, spec);
+    const std::size_t nlog = loops.size();
+    const auto record = [&](std::vector<std::vector<std::int64_t>>& got,
+                            int tid, const std::int64_t* ind) {
+      auto& v = got[static_cast<std::size_t>(tid)];
+      v.insert(v.end(), ind, ind + nlog);
+    };
+    for (int w = 1; w <= team + 1; ++w) {
+      const int members = std::min(w, team);
+      std::vector<std::vector<std::int64_t>> got(
+          static_cast<std::size_t>(members));
+      team_region(
+          [&](TeamMember& m) {
+            ASSERT_EQ(m.nthreads(), members);
+            nest.collective(m, [&](const std::int64_t* ind) {
+              record(got, m.tid(), ind);
+            });
+          },
+          w);
+      const std::vector<ThreadProgram> want =
+          record_team_programs(nest.plan(), members);
+      for (int t = 0; t < members; ++t) {
+        EXPECT_EQ(got[static_cast<std::size_t>(t)],
+                  want[static_cast<std::size_t>(t)].inds)
+            << spec << " width " << w << " tid " << t;
+      }
+      if (members == team) {
+        std::vector<std::vector<std::int64_t>> alone(
+            static_cast<std::size_t>(team));
+        nest([&](const std::int64_t* ind) { record(alone, thread_id(), ind); });
+        EXPECT_EQ(alone, got) << spec;
+      }
+    }
+  }
+}
+
+// The trailing barrier: a second collective nest reads what other members
+// wrote in the first, with no region boundary in between.
+TEST(Collective, EndsInARegionBarrier) {
+  constexpr std::int64_t n = 64;
+  LoopNest fill({LoopSpecs{0, n, 1, {}}}, "A");
+  LoopNest shift({LoopSpecs{0, n, 1, {}}}, "A");
+  for (Runtime rt : built_runtimes()) {
+    const Runtime saved = runtime();
+    set_runtime(rt);
+    std::vector<std::int64_t> a(n, -1), b(n, -1);
+    for (int round = 0; round < 50; ++round) {
+      team_region([&](TeamMember& m) {
+        fill.collective(m, [&](const std::int64_t* ind) {
+          a[static_cast<std::size_t>(ind[0])] = ind[0] + round;
+        });
+        shift.collective(m, [&](const std::int64_t* ind) {
+          b[static_cast<std::size_t>(ind[0])] =
+              a[static_cast<std::size_t>((ind[0] + 1) % n)];
+        });
+      });
+      for (std::int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(b[static_cast<std::size_t>(i)], (i + 1) % n + round)
+            << runtime_name(rt) << " round " << round;
+      }
+    }
+    set_runtime(saved);
+  }
+}
+
+// Inside an enclosing region the team region degrades to one member on each
+// caller, which then runs the whole nest; the enclosing region is never the
+// collective team.
+TEST(Collective, NestedTeamRegionDegradesToOneMember) {
+  LoopNest nest({LoopSpecs{0, 32, 1, {}}, LoopSpecs{0, 8, 1, {}}}, "A|b");
+  const int team = max_threads();
+  std::vector<std::atomic<int>> visits(static_cast<std::size_t>(team));
+  parallel_region([&](int tid, int) {
+    team_region([&](TeamMember& m) {
+      EXPECT_EQ(m.tid(), 0);
+      EXPECT_EQ(m.nthreads(), 1);
+      nest.collective(m, [&](const std::int64_t*) {
+        visits[static_cast<std::size_t>(tid)].fetch_add(1);
+      });
+    });
+  });
+  EXPECT_EQ(visits[0].load(), 32 * 8);
+  for (const auto& v : visits) EXPECT_TRUE(v.load() == 0 || v.load() == 32 * 8);
+}
+
+// A body that throws on one member, before barriers its teammates wait at,
+// reaches the caller under every runtime without a hang; the other members
+// keep to the barrier protocol, and the next region runs normally.
+TEST(Collective, BodyThrowReachesCallerUnderEveryRuntime) {
+  LoopNest barriered({LoopSpecs{0, 32, 1, {}}, LoopSpecs{0, 32, 1, {}},
+                      LoopSpecs{0, 16, 1, {}}},
+                     "a|Bc");  // recursive walk, a barrier per `a`
+  LoopNest flat({LoopSpecs{0, 8, 1, {}}, LoopSpecs{0, 64, 1, {}}}, "a|B");
+  for (Runtime rt : built_runtimes()) {
+    const Runtime saved = runtime();
+    set_runtime(rt);
+    const int thrower = max_threads() - 1;
+    for (const LoopNest* nest : {&barriered, &flat}) {
+      std::atomic<int> after{0};
+      EXPECT_THROW(team_region([&](TeamMember& m) {
+                     nest->collective(m, [&](const std::int64_t* ind) {
+                       if (m.tid() == thrower && ind[0] == 1) {
+                         throw RuntimeError(StatusCode::kInternal, "body");
+                       }
+                     });
+                     m.single([&] { after.fetch_add(1); });
+                   }),
+                   RuntimeError)
+          << runtime_name(rt);
+      EXPECT_EQ(after.load(), 0) << runtime_name(rt);
+      std::atomic<int> bodies{0};
+      (*nest)([&](const std::int64_t*) { bodies.fetch_add(1); });
+      EXPECT_EQ(bodies.load(), nest == &flat ? 8 * 64 : 32 * 32 * 16);
+    }
+    set_runtime(saved);
+  }
 }
 
 }  // namespace

@@ -162,6 +162,41 @@ TEST(Session, LanesAreBitwiseIdenticalReplicas) {
   }
 }
 
+// One decode run_step is one team region on the pool: every layer's nests
+// run collectively inside it. Inside an enclosing width-1 region the step
+// degrades to the caller alone, opens no team region, and computes the same
+// bits.
+TEST(Session, LlmDecodeStepIsOneTeamRegion) {
+  const Runtime saved = runtime();
+  set_runtime(Runtime::kPool);
+  dl::LlmConfig cfg = tiny_llm();
+  cfg.layers = 2;
+  auto s = make_llm_session("llm_region", cfg, /*prompt_len=*/4,
+                            /*gen_tokens=*/3, /*lanes=*/1, 71);
+  const auto in = make_input(*s, 72);
+  const std::size_t n = static_cast<std::size_t>(s->output_elems());
+  std::vector<float> top(n), nested(n);
+  ThreadPool& pool = ThreadPool::instance();
+
+  s->run_step(0, in.data(), top.data(), 0, 1);
+  const std::uint64_t before = pool.stats().team_regions;
+  s->run_step(0, in.data(), top.data(), 1, 1);
+  EXPECT_EQ(pool.stats().team_regions - before, 1u);
+
+  parallel_region(
+      [&](int, int) {
+        s->run_step(0, in.data(), nested.data(), 0, 1);
+        const std::uint64_t inside = pool.stats().team_regions;
+        s->run_step(0, in.data(), nested.data(), 1, 1);
+        EXPECT_EQ(pool.stats().team_regions - inside, 0u);
+      },
+      1);
+  const std::size_t two_tokens = static_cast<std::size_t>(2 * cfg.hidden);
+  EXPECT_EQ(0, std::memcmp(top.data(), nested.data(),
+                           two_tokens * sizeof(float)));
+  set_runtime(saved);
+}
+
 // --- scheduler: determinism -------------------------------------------------
 
 // Batched execution must be bitwise-identical to sequential per-request
