@@ -201,74 +201,69 @@ FcLayer::TokenPlan& FcLayer::token_plan(std::int64_t S) const {
   return *token_plans_.back().second;
 }
 
-void FcLayer::stage_input(const float* input, std::int64_t lo,
-                          std::int64_t hi) const {
-  bf16* staged = reinterpret_cast<bf16*>(in_stage_.data());
-  for (std::int64_t i = lo; i < hi; ++i) staged[i] = bf16::from_f32(input[i]);
-}
+// One forward call's tile body: computes the (ik, im, is) output tile. A
+// member wraps it in the nest's BodyFn by reference, which keeps that
+// std::function in its small-object buffer: no allocation per member.
+struct FcLayer::TileCall {
+  const FcLayer& fc;
+  const TokenPlan& tp;
+  const char* b_panel;
+  float* output;
 
-parlooper::BodyFn FcLayer::tile_body(TokenPlan& tp, const void* b_panel,
-                                     float* output) const {
-  const std::int64_t in_f = cfg_.in_features, out_f = cfg_.out_features;
-  const std::int64_t Kb = in_f / cfg_.bk;
-  const std::int64_t bn = tp.bn;
-  const std::size_t esz = dtype_size(cfg_.dtype);
-  const char* bp = static_cast<const char*>(b_panel);
-  const std::int64_t a_blk =
-      cfg_.dtype == DType::BF16 ? tpp::vnni2_elems(cfg_.bm, cfg_.bk)
-                                : cfg_.bm * cfg_.bk;
-  const bool has_act = cfg_.act != FcActivation::kNone;
-  float* pre = preact_.data();
-
-  return [=, &tp](const std::int64_t* ind) {
+  void operator()(const std::int64_t* ind) const {
+    const FcConfig& cfg = fc.cfg_;
+    const std::int64_t in_f = cfg.in_features, out_f = cfg.out_features;
+    const std::int64_t Kb = in_f / cfg.bk, bn = tp.bn;
+    const std::size_t esz = dtype_size(cfg.dtype);
+    const std::int64_t a_blk = cfg.dtype == DType::BF16
+                                   ? tpp::vnni2_elems(cfg.bm, cfg.bk)
+                                   : cfg.bm * cfg.bk;
     const std::int64_t ik = ind[0], im = ind[1], is = ind[2];
     // C tile (bm x bn) inside the column-major out x S output.
-    float* c_tile = output + im * cfg_.bm + is * bn * out_f;
+    float* c_tile = output + im * cfg.bm + is * bn * out_f;
     if (ik == 0) tp.zero(nullptr, c_tile);
-    tp.brgemm(w_blocked_.data() + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
-              bp + static_cast<std::size_t>(ik * cfg_.bk + is * bn * in_f) * esz,
+    tp.brgemm(fc.w_blocked_.data() +
+                  static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
+              b_panel + static_cast<std::size_t>(ik * cfg.bk + is * bn * in_f) * esz,
               c_tile, 1);
     if (ik == Kb - 1) {
-      if (cfg_.with_bias)
-        tp.bias(bias_.data() + im * cfg_.bm, c_tile, c_tile);
-      if (has_act) {
+      if (cfg.with_bias) tp.bias(fc.bias_.data() + im * cfg.bm, c_tile, c_tile);
+      if (cfg.act != FcActivation::kNone) {
         // Save the pre-activation for the backward pass, then activate.
-        float* p_tile = pre + im * cfg_.bm + is * bn * out_f;
+        float* p_tile = fc.preact_.data() + im * cfg.bm + is * bn * out_f;
         for (std::int64_t j = 0; j < bn; ++j)
           std::memcpy(p_tile + j * out_f, c_tile + j * out_f,
-                      sizeof(float) * static_cast<std::size_t>(cfg_.bm));
+                      sizeof(float) * static_cast<std::size_t>(cfg.bm));
         tp.act(c_tile, c_tile);
       }
     }
-  };
-}
+  }
+};
 
 void FcLayer::forward_tokens(const float* input, std::int64_t S,
                              float* output) const {
-  TokenPlan& tp = token_plan(S);
-
-  // The B operand: a row-major [S][in] activation is a column-major
-  // in x S matrix with ld = in.
-  const void* b_panel = input;
-  if (cfg_.dtype == DType::BF16) {
-    stage_input(input, 0, S * cfg_.in_features);
-    b_panel = in_stage_.data();
-  }
-  tp.nest(tile_body(tp, b_panel, output));
+  token_plan(S).nest.standalone([&](parlooper::TeamMember& m) {
+    forward_member(m, input, S, output);
+  });
 }
 
 void FcLayer::forward_member(parlooper::TeamMember& m, const float* input,
                              std::int64_t S, float* output) const {
-  TokenPlan* tp = find_token_plan(S);
-  PLT_CHECK(tp != nullptr, "fc: forward_member needs prepare_tokens(S) first");
+  const TokenPlan* tp = find_token_plan(S);
+  if (!m.check(tp != nullptr, "fc: forward_member needs prepare_tokens(S) first"))
+    return;
+  // The B operand: a row-major [S][in] activation is a column-major
+  // in x S matrix with ld = in.
   const void* b_panel = input;
   if (cfg_.dtype == DType::BF16) {
+    bf16* staged = reinterpret_cast<bf16*>(in_stage_.data());
     m.split(S * cfg_.in_features, [&](std::int64_t lo, std::int64_t hi) {
-      stage_input(input, lo, hi);
+      for (std::int64_t i = lo; i < hi; ++i) staged[i] = bf16::from_f32(input[i]);
     });
-    b_panel = in_stage_.data();
+    b_panel = staged;
   }
-  tp->nest.collective(m, tile_body(*tp, b_panel, output));
+  const TileCall tile{*this, *tp, static_cast<const char*>(b_panel), output};
+  tp->nest.collective(m, [&tile](const std::int64_t* ind) { tile(ind); });
 }
 
 void FcLayer::zero_grad() {

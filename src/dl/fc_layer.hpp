@@ -62,8 +62,10 @@ class FcLayer {
   void prepare_tokens(std::int64_t tokens) const { token_plan(tokens); }
 
   // forward_tokens() as a collective call: every member of the current team
-  // region calls it (parlooper/team.hpp) and runs its share of the nest;
-  // ends in a region barrier. Bitwise equal to forward_tokens().
+  // region calls it (parlooper/team.hpp), stages its share of a bf16 input
+  // and runs its share of the nest; ends in a region barrier.
+  // forward_tokens() is this call in the region the nest's standalone call
+  // would open.
   void forward_member(parlooper::TeamMember& m, const float* input,
                       std::int64_t tokens, float* output) const;
 
@@ -99,11 +101,8 @@ class FcLayer {
   struct TokenPlan;
   TokenPlan& token_plan(std::int64_t S) const;
   TokenPlan* find_token_plan(std::int64_t S) const;
-  // Converts input elements [lo, hi) into the bf16 staging panel.
-  void stage_input(const float* input, std::int64_t lo, std::int64_t hi) const;
   // The nest body computing one (ik, im, is) output tile.
-  parlooper::BodyFn tile_body(TokenPlan& tp, const void* b_panel,
-                              float* output) const;
+  struct TileCall;
 
   FcConfig cfg_;
   Tensor weight_, bias_, dweight_, dbias_;

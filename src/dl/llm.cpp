@@ -165,7 +165,7 @@ void DecoderLayer::decode_one(const float* x, std::int64_t pos, float* y) {
 void DecoderLayer::prefill_member(parlooper::TeamMember& m, const float* x,
                                   std::int64_t seq, float* y) {
   const std::int64_t H = cfg_.hidden;
-  PLT_CHECK(seq <= cfg_.max_seq, "llm: sequence exceeds max_seq");
+  if (!m.check(seq <= cfg_.max_seq, "llm: sequence exceeds max_seq")) return;
   // Pre-norm transformer block.
   float* normed = ln1_out_.data();
   m.split(seq, [&](std::int64_t lo, std::int64_t hi) {
@@ -198,7 +198,7 @@ void DecoderLayer::prefill_member(parlooper::TeamMember& m, const float* x,
 void DecoderLayer::decode_member(parlooper::TeamMember& m, const float* x,
                                  std::int64_t pos, float* y) {
   const std::int64_t H = cfg_.hidden;
-  PLT_CHECK(pos < cfg_.max_seq, "llm: position exceeds max_seq");
+  if (!m.check(pos < cfg_.max_seq, "llm: position exceeds max_seq")) return;
   float* normed = dec_normed_.data();
   m.single([&] { ln1_.forward_rows(x, normed, 0, 1); });
 

@@ -16,7 +16,8 @@ struct ThreadExec {
   int nthreads;
   bool simulated = false;  // skip barriers when replaying a single thread
   const VoidFn* on_barrier = nullptr;    // trace hook (schedule precompiler)
-  TeamMember* member = nullptr;          // live execution: failure state
+  int live_barriers_passed = 0;          // live barriers completed so far
+  int live_barriers_to_skip = 0;         // resuming the protocol: already passed
   std::int64_t coord[4] = {0, 0, 0, 0};  // index by GridAxis
   std::vector<std::int64_t> cur;         // current value per level
   std::vector<std::int64_t> ind;         // body's logical-index array
@@ -50,18 +51,19 @@ struct ThreadExec {
       ind[static_cast<std::size_t>(l)] =
           cur[static_cast<std::size_t>(plan.innermost_level()[static_cast<std::size_t>(l)])];
     }
-    if (member != nullptr) {
-      member->run([&] { body(ind.data()); });
-    } else {
-      body(ind.data());
-    }
+    body(ind.data());
   }
 
   void barrier() {
     if (on_barrier != nullptr) {
       (*on_barrier)();
     } else if (!simulated && nthreads > 1) {
-      thread_barrier();
+      if (live_barriers_to_skip > 0) {
+        --live_barriers_to_skip;
+      } else {
+        thread_barrier();
+      }
+      ++live_barriers_passed;
     }
   }
 
@@ -272,12 +274,28 @@ void run_member(const LoopNestPlan& plan, TeamMember& m, const BodyFn& body,
     walk_program(sched->threads[static_cast<std::size_t>(tid)],
                  plan.num_logical(), body, m, nthreads > 1);
   } else {
+    // The recursive walk has barriers at any depth, so it runs as one unit of
+    // work. If it stopped early (it threw, or the region had already failed),
+    // a second walk with a no-op body finishes this member's barrier
+    // protocol, waiting only at the barriers the first walk did not pass.
+    const auto walk = [serial](ThreadExec& exec) {
+      if (serial) {
+        exec.run_level(0);
+      } else {
+        traverse_thread(exec);
+      }
+    };
     ThreadExec exec(plan, body, tid, nthreads);
-    exec.member = &m;
-    if (serial) {
-      exec.run_level(0);
-    } else {
-      traverse_thread(exec);
+    bool done = false;
+    m.run([&] {
+      walk(exec);
+      done = true;
+    });
+    if (!done && nthreads > 1) {
+      static const BodyFn skip = [](const std::int64_t*) {};
+      ThreadExec rest(plan, skip, tid, nthreads);
+      rest.live_barriers_to_skip = exec.live_barriers_passed;
+      walk(rest);
     }
   }
   if (term) m.run(term);

@@ -26,8 +26,10 @@ using VoidFn = std::function<void()>;
 // program for (m.tid(), m.nthreads()), or the recursive walk, with region
 // barriers at the plan's barrier points. A serial nest (no parallel letters)
 // runs whole on member 0. Opens no region and adds no trailing barrier.
-// Exceptions from body/init/term are recorded on m; the member then skips
-// its remaining bodies but still arrives at every barrier.
+// Exceptions from body/init/term are recorded on m. The throwing member does
+// no further work but still arrives at every barrier; its teammates notice
+// the failure at their next flat-schedule segment (a recursive walk runs to
+// its end).
 void run_member(const LoopNestPlan& plan, TeamMember& m, const BodyFn& body,
                 const VoidFn& init = {}, const VoidFn& term = {});
 

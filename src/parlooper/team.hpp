@@ -19,7 +19,10 @@
 // work too. team_region() rethrows the recorded exception on the calling
 // thread once every member has retired. This holds under every runtime —
 // under omp, where a member that skipped a barrier would deadlock its
-// teammates, too.
+// teammates, too. So member code does all its work inside run() (single,
+// split and collective nests do) and tests its preconditions with check();
+// a throw that escapes a member body anyway is left to the runtime's region
+// firewall, which under omp cannot release the teammates' barriers.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 
 #include "common/threading.hpp"
@@ -81,6 +85,15 @@ class TeamMember {
     } catch (...) {
       state_.fail(std::current_exception());
     }
+  }
+
+  // A precondition of member code. Throwing it past the barriers would hang
+  // an omp team, so a failed check is recorded like a throw from run() and
+  // returns false. The condition must be the same on every member, so that
+  // all of them leave the collective call together.
+  bool check(bool ok, const char* msg) {
+    if (!ok) run([msg] { throw std::invalid_argument(msg); });
+    return ok;
   }
 
   // Region barrier; a one-member region has nothing to wait for.

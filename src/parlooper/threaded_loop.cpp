@@ -96,15 +96,9 @@ void invoke_member(const LoopNestPlan& plan, TeamMember& m, const BodyFn& body,
 
 void LoopNest::operator()(const BodyFn& body, const VoidFn& init,
                           const VoidFn& term) const {
-  if (!plan_->any_parallel()) {
-    TeamState state;
-    TeamMember caller(state, 0, 1);
-    invoke_member(*plan_, caller, body, init, term);
-    state.rethrow_if_failed();
-    return;
-  }
   // The region's join is the trailing barrier.
-  team_region([&](TeamMember& m) { invoke_member(*plan_, m, body, init, term); });
+  standalone(
+      [&](TeamMember& m) { invoke_member(*plan_, m, body, init, term); });
 }
 
 void LoopNest::collective(TeamMember& m, const BodyFn& body, const VoidFn& init,

@@ -35,12 +35,27 @@ class LoopNest {
   LoopNest(std::vector<LoopSpecs> loops, const std::string& spec_string,
            const AccessMap& access = {});
 
-  // Standalone invocation: opens one team region (nested inside another
-  // region it degrades to one member on the caller) and runs every member's
-  // share; a serial nest runs on the caller without a region. Exactly
-  // team_region([&](TeamMember& m) { member's share of collective(m, ...) }).
+  // Standalone invocation: standalone(member's share of collective(m, ...)).
   void operator()(const BodyFn& body, const VoidFn& init = {},
                   const VoidFn& term = {}) const;
+
+  // Runs fn(TeamMember&) where a standalone call runs this nest: in one team
+  // region (nested inside another region it degrades to one member on the
+  // caller), or, for a serial nest, on the caller as a one-member team
+  // without a region. A wrapper whose member body makes collective calls on
+  // this nest opens its region here, so it opens the regions operator()
+  // would. A failure recorded by any member is rethrown here.
+  template <typename Fn>
+  void standalone(Fn&& fn) const {
+    if (plan_->any_parallel()) {
+      team_region(fn);
+      return;
+    }
+    TeamState state;
+    TeamMember caller(state, 0, 1);
+    fn(caller);
+    state.rethrow_if_failed();
+  }
 
   // Collective invocation: called by every member of the current team
   // region (team.hpp), each with its own TeamMember. Walks member m's share

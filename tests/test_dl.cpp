@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "dl/attention.hpp"
 #include "dl/bert.hpp"
@@ -12,6 +15,17 @@
 #include "common/status.hpp"
 #include "common/threading.hpp"
 #include "test_utils.hpp"
+
+// Counts the process's operator new calls (WarmDecodeStepAllocatesNothing).
+static std::atomic<long> g_allocations{0};
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace plt::dl {
 namespace {
@@ -501,6 +515,59 @@ TEST(DecoderStack, KernelFaultInStepReachesCallerUnderEveryRuntime) {
                               runtime_name(rt));
   }
   set_runtime(saved);
+}
+
+// A failed precondition of member code (a decode position past max_seq, an
+// FC token count that was never prepared) is recorded on every member, not
+// thrown past the barriers: it reaches the caller under every runtime
+// without a hang, and no member wrote the output.
+TEST(DecoderStack, MemberPreconditionReachesCallerUnderEveryRuntime) {
+  const LlmConfig cfg = step_cfg();
+  const auto x = random_vec(static_cast<std::size_t>(cfg.hidden), 87);
+  const Runtime saved = runtime();
+  for (Runtime rt : built_runtimes()) {
+    set_runtime(rt);
+    Xoshiro256 rng(88);
+    DecoderLayer layer(cfg, rng);
+    std::vector<float> y(static_cast<std::size_t>(cfg.hidden), 7.0f);
+    EXPECT_THROW(parlooper::team_region([&](parlooper::TeamMember& m) {
+                   layer.decode_member(m, x.data(), cfg.max_seq, y.data());
+                 }),
+                 std::invalid_argument)
+        << runtime_name(rt);
+    for (float v : y) ASSERT_EQ(v, 7.0f) << runtime_name(rt);
+
+    FcConfig fc_cfg;
+    fc_cfg.in_features = fc_cfg.out_features = 64;
+    fc_cfg.tokens = 8;
+    fc_cfg.bm = fc_cfg.bn = fc_cfg.bk = 16;
+    FcLayer fc(fc_cfg, rng);
+    std::vector<float> in(8 * 64, 1.0f), out(8 * 64, 7.0f);
+    EXPECT_THROW(parlooper::team_region([&](parlooper::TeamMember& m) {
+                   fc.forward_member(m, in.data(), 3, out.data());
+                 }),
+                 std::invalid_argument)
+        << runtime_name(rt);
+    for (float v : out) ASSERT_EQ(v, 7.0f) << runtime_name(rt);
+  }
+  set_runtime(saved);
+}
+
+// A decode step makes no heap allocation once the stack is warm: its nest
+// bodies, phases and per-head score rows all live in preallocated storage
+// (operator new is counted for the whole process, pool members included).
+TEST(DecoderStack, WarmDecodeStepAllocatesNothing) {
+  const auto prompt = random_vec(
+      static_cast<std::size_t>(kStepPrompt * step_cfg().hidden), 89);
+  Xoshiro256 rng(90);
+  DecoderStack stack(step_cfg(), kStepPrompt, rng);
+  std::vector<float> out(static_cast<std::size_t>(kStepGen * step_cfg().hidden));
+  stack.step(prompt.data(), kStepPrompt, 0, 1, out.data());
+  stack.step(nullptr, kStepPrompt, 1, 2, out.data());
+  const long before = g_allocations.load();
+  for (std::int64_t g = 2; g < kStepGen; ++g)
+    stack.step(nullptr, kStepPrompt, g, g + 1, out.data());
+  EXPECT_EQ(g_allocations.load() - before, 0) << runtime_name(runtime());
 }
 
 }  // namespace

@@ -342,7 +342,7 @@ TEST(Collective, NestedTeamRegionDegradesToOneMember) {
 TEST(Collective, BodyThrowReachesCallerUnderEveryRuntime) {
   LoopNest barriered({LoopSpecs{0, 32, 1, {}}, LoopSpecs{0, 32, 1, {}},
                       LoopSpecs{0, 16, 1, {}}},
-                     "a|Bc");  // recursive walk, a barrier per `a`
+                     "aB|c");  // recursive walk, a barrier per `a`
   LoopNest flat({LoopSpecs{0, 8, 1, {}}, LoopSpecs{0, 64, 1, {}}}, "a|B");
   for (Runtime rt : built_runtimes()) {
     const Runtime saved = runtime();
@@ -357,6 +357,10 @@ TEST(Collective, BodyThrowReachesCallerUnderEveryRuntime) {
                        }
                      });
                      m.single([&] { after.fetch_add(1); });
+                     // Begun after the failure: every member walks only the
+                     // barriers.
+                     barriered.collective(
+                         m, [&](const std::int64_t*) { after.fetch_add(1); });
                    }),
                    RuntimeError)
           << runtime_name(rt);
