@@ -18,6 +18,13 @@ inline std::int64_t round_up(std::int64_t a, std::int64_t b) {
   return ceil_div(a, b) * b;
 }
 
+// K blocks per BRGEMM call: an explicit k_step as given, the default 0 as
+// all kb blocks (one call reduces the whole K).
+inline std::int64_t resolve_k_step(std::int64_t k_step, std::int64_t kb) {
+  PLT_CHECK(k_step >= 0, "k_step must be >= 0 (0 = all of K)");
+  return k_step > 0 ? k_step : kb;
+}
+
 // Prime factorization in ascending order, e.g. 12 -> {2, 2, 3}.
 inline std::vector<std::int64_t> prime_factors(std::int64_t n) {
   std::vector<std::int64_t> f;

@@ -119,11 +119,10 @@ void FcLayer::forward(const float* input, float* output) const {
 
 namespace {
 
-// Footprints of one (ik, im, is) forward invocation: the bm x bn output tile
-// (ld = out_features) is read-modify-written across the K reduction, the
-// pre-activation stash is written on the last K step (over-approximated as
-// every step, per the AccessMap contract), weights and the input panel are
-// read-only.
+// Footprints of one (ik, im, is) forward invocation, which reduces the whole
+// K in one BRGEMM call (ik is always 0): the bm x bn output tile
+// (ld = out_features) is written, bias-added and activated in place, the
+// pre-activation stash is written, weights and the input panel are read.
 parlooper::AccessMap fc_access_map(const FcConfig& cfg, std::int64_t bn) {
   const std::int64_t Kb = cfg.in_features / cfg.bk;
   const std::int64_t a_blk = cfg.dtype == DType::BF16
@@ -137,8 +136,8 @@ parlooper::AccessMap fc_access_map(const FcConfig& cfg, std::int64_t bn) {
                 cfg.out_features)
       .add_write("preact", {0, cfg.bm, bn * cfg.out_features}, cfg.bm, bn,
                  cfg.out_features)
-      .add_read("weights", {a_blk, Kb * a_blk, 0}, a_blk)
-      .add_read("in", {cfg.bk, 0, bn * cfg.in_features}, cfg.bk, bn,
+      .add_read("weights", {a_blk, Kb * a_blk, 0}, Kb * a_blk)
+      .add_read("in", {cfg.bk, 0, bn * cfg.in_features}, cfg.in_features, bn,
                 cfg.in_features);
   return access;
 }
@@ -150,7 +149,6 @@ parlooper::AccessMap fc_access_map(const FcConfig& cfg, std::int64_t bn) {
 struct FcLayer::TokenPlan {
   std::int64_t bn;
   tpp::BrgemmTPP brgemm;
-  tpp::UnaryTPP zero;
   tpp::BinaryTPP bias;
   tpp::UnaryTPP act;
   parlooper::LoopNest nest;
@@ -160,7 +158,7 @@ struct FcLayer::TokenPlan {
         brgemm(tpp::BrgemmDesc{
             cfg.bm, bn, cfg.bk,
             /*lda=*/cfg.bm, /*ldb=*/cfg.in_features, /*ldc=*/cfg.out_features,
-            cfg.dtype, cfg.dtype, DType::F32, /*beta=*/1.0f,
+            cfg.dtype, cfg.dtype, DType::F32, /*beta=*/0.0f,
             tpp::BrgemmVariant::kStride,
             cfg.dtype == DType::BF16 ? tpp::ALayout::kVnni2
                                      : tpp::ALayout::kFlat,
@@ -168,8 +166,6 @@ struct FcLayer::TokenPlan {
                 ? tpp::vnni2_elems(cfg.bm, cfg.bk)
                 : cfg.bm * cfg.bk,
             /*stride_b=*/cfg.bk}),
-        zero(tpp::UnaryDesc{tpp::UnaryKind::kZero, cfg.bm, bn, 0,
-                            cfg.out_features, DType::F32, DType::F32, 1.0f}),
         bias(tpp::BinaryDesc{tpp::BinaryKind::kAdd, cfg.bm, bn, 0,
                              cfg.out_features, cfg.out_features, DType::F32,
                              DType::F32, DType::F32, tpp::Broadcast::kCol}),
@@ -178,7 +174,8 @@ struct FcLayer::TokenPlan {
                                : tpp::UnaryKind::kRelu,
                            cfg.bm, bn, cfg.out_features, cfg.out_features,
                            DType::F32, DType::F32, 1.0f}),
-        nest({parlooper::LoopSpecs{0, cfg.in_features / cfg.bk, 1},
+        nest({parlooper::LoopSpecs{0, cfg.in_features / cfg.bk,
+                                   cfg.in_features / cfg.bk},
               parlooper::LoopSpecs{0, cfg.out_features / cfg.bm, 1},
               parlooper::LoopSpecs{0, S / bn, 1}},
              cfg.loop_spec, fc_access_map(cfg, bn_in)) {}
@@ -201,9 +198,11 @@ FcLayer::TokenPlan& FcLayer::token_plan(std::int64_t S) const {
   return *token_plans_.back().second;
 }
 
-// One forward call's tile body: computes the (ik, im, is) output tile. A
-// member wraps it in the nest's BodyFn by reference, which keeps that
-// std::function in its small-object buffer: no allocation per member.
+// One forward call's tile body: computes the (ik, im, is) output tile, the
+// whole K reduced by one BRGEMM call (the `a` loop steps by Kb, so ik is
+// 0), then bias and activation. A member wraps it in the nest's BodyFn by
+// reference, which keeps that std::function in its small-object buffer: no
+// allocation per member.
 struct FcLayer::TileCall {
   const FcLayer& fc;
   const TokenPlan& tp;
@@ -218,24 +217,21 @@ struct FcLayer::TileCall {
     const std::int64_t a_blk = cfg.dtype == DType::BF16
                                    ? tpp::vnni2_elems(cfg.bm, cfg.bk)
                                    : cfg.bm * cfg.bk;
-    const std::int64_t ik = ind[0], im = ind[1], is = ind[2];
+    const std::int64_t im = ind[1], is = ind[2];
     // C tile (bm x bn) inside the column-major out x S output.
     float* c_tile = output + im * cfg.bm + is * bn * out_f;
-    if (ik == 0) tp.zero(nullptr, c_tile);
     tp.brgemm(fc.w_blocked_.data() +
-                  static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
-              b_panel + static_cast<std::size_t>(ik * cfg.bk + is * bn * in_f) * esz,
-              c_tile, 1);
-    if (ik == Kb - 1) {
-      if (cfg.with_bias) tp.bias(fc.bias_.data() + im * cfg.bm, c_tile, c_tile);
-      if (cfg.act != FcActivation::kNone) {
-        // Save the pre-activation for the backward pass, then activate.
-        float* p_tile = fc.preact_.data() + im * cfg.bm + is * bn * out_f;
-        for (std::int64_t j = 0; j < bn; ++j)
-          std::memcpy(p_tile + j * out_f, c_tile + j * out_f,
-                      sizeof(float) * static_cast<std::size_t>(cfg.bm));
-        tp.act(c_tile, c_tile);
-      }
+                  static_cast<std::size_t>(im * Kb * a_blk) * esz,
+              b_panel + static_cast<std::size_t>(is * bn * in_f) * esz, c_tile,
+              Kb);
+    if (cfg.with_bias) tp.bias(fc.bias_.data() + im * cfg.bm, c_tile, c_tile);
+    if (cfg.act != FcActivation::kNone) {
+      // Save the pre-activation for the backward pass, then activate.
+      float* p_tile = fc.preact_.data() + im * cfg.bm + is * bn * out_f;
+      for (std::int64_t j = 0; j < bn; ++j)
+        std::memcpy(p_tile + j * out_f, c_tile + j * out_f,
+                    sizeof(float) * static_cast<std::size_t>(cfg.bm));
+      tp.act(c_tile, c_tile);
     }
   }
 };

@@ -93,7 +93,7 @@ class FcLayer {
  private:
   // Pre-planned forward pipeline for one token count: the BRGEMM/bias/act
   // TPP handles (kernel-cache entries resolved once) and the compiled
-  // LoopNest plan. Without this, every forward_tokens call re-derives five
+  // LoopNest plan. Without this, every forward_tokens call re-derives the
   // cache keys through ostringstream — a fixed cost that dominates
   // small-token serving requests (the LLM decode path calls with S=1).
   // Not thread-safe on one instance, like the rest of the layer's mutable

@@ -8,7 +8,7 @@ namespace {
 
 std::vector<parlooper::LoopSpecs> make_loops(const GemmConfig& c) {
   // Logical loops of Listing 1: a = K blocks, b = M blocks, c = N blocks.
-  parlooper::LoopSpecs a{0, c.Kb(), c.k_step, c.k_blocking};
+  parlooper::LoopSpecs a{0, c.Kb(), c.resolved_k_step(), c.k_blocking};
   parlooper::LoopSpecs b{0, c.Mb(), 1, c.m_blocking};
   parlooper::LoopSpecs n{0, c.Nb(), 1, c.n_blocking};
   return {a, b, n};
@@ -31,7 +31,8 @@ GemmKernel::GemmKernel(GemmConfig cfg)
   PLT_CHECK(cfg_.M % cfg_.bm == 0 && cfg_.N % cfg_.bn == 0 &&
                 cfg_.K % cfg_.bk == 0,
             "gemm: block sizes must divide M/N/K");
-  PLT_CHECK(cfg_.Kb() % cfg_.k_step == 0, "gemm: k_step must divide Kb");
+  const std::int64_t k_step = cfg_.resolved_k_step();
+  PLT_CHECK(cfg_.Kb() % k_step == 0, "gemm: k_step must divide Kb");
   PLT_CHECK(cfg_.dtype == DType::F32 || cfg_.dtype == DType::BF16,
             "gemm: f32 or bf16");
   // Footprints of one (ik, im, in) invocation, in block-layout elements:
@@ -44,8 +45,8 @@ GemmKernel::GemmKernel(GemmConfig cfg)
   parlooper::AccessMap access;
   access.add_write("C", {0, c_blk, Mb * c_blk}, c_blk)
       .add_read("C", {0, c_blk, Mb * c_blk}, c_blk)
-      .add_read("A", {a_blk, Kb * a_blk, 0}, cfg_.k_step * a_blk)
-      .add_read("B", {b_blk, 0, Kb * b_blk}, cfg_.k_step * b_blk);
+      .add_read("A", {a_blk, Kb * a_blk, 0}, k_step * a_blk)
+      .add_read("B", {b_blk, 0, Kb * b_blk}, k_step * b_blk);
   loop_ = std::make_shared<const parlooper::LoopNest>(
       make_loops(cfg_), cfg_.loop_spec, access);
 }
@@ -70,7 +71,8 @@ void GemmKernel::run_with_epilogue(const void* a, const void* b, void* c,
   const std::int64_t a_blk = a_block_elems_;
   const std::int64_t b_blk = cfg_.bn * cfg_.bk;
   const std::int64_t c_blk = cfg_.bn * cfg_.bm;
-  const std::int64_t k_last = Kb - cfg_.k_step;
+  const std::int64_t k_step = cfg_.resolved_k_step();
+  const std::int64_t k_last = Kb - k_step;
 
   (*loop_)([&](const std::int64_t* ind) {
     const std::int64_t ik = ind[0], im = ind[1], in = ind[2];
@@ -78,7 +80,7 @@ void GemmKernel::run_with_epilogue(const void* a, const void* b, void* c,
     if (ik == 0) zero_tpp_(nullptr, c_block);
     brgemm_tpp_(ap + static_cast<std::size_t>((im * Kb + ik) * a_blk) * esz,
                 bp + static_cast<std::size_t>((in * Kb + ik) * b_blk) * esz,
-                c_block, cfg_.k_step);
+                c_block, k_step);
     if (epilogue && ik == k_last) epilogue(im, in, c_block);
   });
 }

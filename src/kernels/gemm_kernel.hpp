@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/aligned_buffer.hpp"
+#include "common/math_utils.hpp"
 #include "parlooper/threaded_loop.hpp"
 #include "tpp/brgemm.hpp"
 #include "tpp/transforms.hpp"
@@ -24,7 +25,7 @@ struct GemmConfig {
   std::int64_t M = 0, N = 0, K = 0;
   std::int64_t bm = 32, bn = 32, bk = 32;
   DType dtype = DType::F32;     // operand precision (C matches)
-  std::int64_t k_step = 1;      // k-blocks fused per BRGEMM call
+  std::int64_t k_step = 0;      // k-blocks fused per BRGEMM call; 0 = all Kb
   // Default spec: parallel M/N block loops (collapse), sequential K inside —
   // safe under any schedule because one owner touches a C block for all ik.
   std::string loop_spec = "BCa";
@@ -35,6 +36,7 @@ struct GemmConfig {
   std::int64_t Mb() const { return M / bm; }
   std::int64_t Nb() const { return N / bn; }
   std::int64_t Kb() const { return K / bk; }
+  std::int64_t resolved_k_step() const { return resolve_k_step(k_step, Kb()); }
 };
 
 class GemmKernel {
@@ -45,7 +47,8 @@ class GemmKernel {
   void run(const void* a, const void* b, void* c) const;
 
   // Same, with a fused epilogue invoked on each C block right after its K
-  // reduction completes (ik == Kb - k_step) — the MLP fusion hook of
+  // reduction completes (ik == Kb - k_step; with the default whole-K step,
+  // right after its one BRGEMM call) — the MLP fusion hook of
   // Section III-A ("if (ik == Kb - k_step) relu_tpp(&C[in][im][0][0])").
   using Epilogue =
       std::function<void(std::int64_t im, std::int64_t in, void* c_block)>;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/math_utils.hpp"
 #include "parlooper/interpreter.hpp"
 
 namespace plt::perfmodel {
@@ -49,8 +50,9 @@ Prediction model_gemm_spec(const GemmModelProblem& p, const std::string& spec,
                            const PlatformModel& platform, int nthreads) {
   const std::int64_t Mb = p.M / p.bm, Nb = p.N / p.bn, Kb = p.K / p.bk;
   PLT_CHECK(Mb > 0 && Nb > 0 && Kb > 0, "model: blocks must divide shape");
+  const std::int64_t k_step = resolve_k_step(p.k_step, Kb);
   std::vector<parlooper::LoopSpecs> loops = {
-      parlooper::LoopSpecs{0, Kb, p.k_step, p.k_blocking},
+      parlooper::LoopSpecs{0, Kb, k_step, p.k_blocking},
       parlooper::LoopSpecs{0, Mb, 1, p.m_blocking},
       parlooper::LoopSpecs{0, Nb, 1, p.n_blocking}};
   parlooper::LoopNestPlan plan(loops, spec);
@@ -58,22 +60,22 @@ Prediction model_gemm_spec(const GemmModelProblem& p, const std::string& spec,
   const std::int64_t esz = p.bf16 ? 2 : 4;
   ContractionDesc desc;
   desc.flops_per_call =
-      2.0 * static_cast<double>(p.bm) * p.bn * p.bk * p.k_step;
+      2.0 * static_cast<double>(p.bm) * p.bn * p.bk * k_step;
   desc.bf16 = p.bf16;
-  const std::int64_t a_bytes = p.bm * p.bk * p.k_step * esz;
-  const std::int64_t b_bytes = p.bk * p.bn * p.k_step * esz;
+  const std::int64_t a_bytes = p.bm * p.bk * k_step * esz;
+  const std::int64_t b_bytes = p.bk * p.bn * k_step * esz;
   const std::int64_t c_bytes = p.bm * p.bn * 4;  // C accumulates in fp32
   // Slice ids: tensor tag in the top bits, block coordinates below. The
   // K loop iterates in k_step strides, so ik / k_step indexes the fused
   // slice the BRGEMM touches.
   desc.a_slice = [=](const std::int64_t* ind) {
     return SliceAccess{(1ull << 62) | static_cast<std::uint64_t>(
-                                          (ind[1] * Kb + ind[0]) / p.k_step),
+                                          (ind[1] * Kb + ind[0]) / k_step),
                        a_bytes};
   };
   desc.b_slice = [=](const std::int64_t* ind) {
     return SliceAccess{(2ull << 62) | static_cast<std::uint64_t>(
-                                          (ind[2] * Kb + ind[0]) / p.k_step),
+                                          (ind[2] * Kb + ind[0]) / k_step),
                        b_bytes};
   };
   desc.c_slice = [=](const std::int64_t* ind) {

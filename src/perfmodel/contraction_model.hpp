@@ -48,7 +48,7 @@ Prediction predict_contraction(const parlooper::LoopNestPlan& plan,
 struct GemmModelProblem {
   std::int64_t M = 0, N = 0, K = 0;
   std::int64_t bm = 32, bn = 32, bk = 32;
-  std::int64_t k_step = 1;
+  std::int64_t k_step = 0;  // K blocks per BRGEMM call; 0 = all (GemmConfig)
   bool bf16 = false;
   std::vector<std::int64_t> m_blocking, n_blocking, k_blocking;
 };

@@ -14,6 +14,7 @@ namespace {
 detail::F32Micro pick_f32_micro() {
   switch (effective_isa()) {
 #if defined(PLT_KERNELS_AVX512)
+    case IsaLevel::kAMXBF16:
     case IsaLevel::kAVX512BF16:
     case IsaLevel::kAVX512:
       return detail::gemm_f32_avx512;
@@ -27,8 +28,15 @@ detail::F32Micro pick_f32_micro() {
   }
 }
 
-detail::Bf16Micro pick_bf16_vnni_micro() {
+// By (m, k) and the ISA only, never by n or brcount: a C element's bits
+// must not depend on how many columns or blocks share its call.
+detail::Bf16Micro pick_bf16_vnni_micro(std::int64_t m, std::int64_t k) {
   switch (effective_isa()) {
+#if PLT_KERNELS_AVX512BF16 >= 2
+    case IsaLevel::kAMXBF16:
+      if (detail::amx_takes(m, k)) return detail::gemm_bf16_vnni_amx;
+      return detail::gemm_bf16_vnni_avx512bf16;
+#endif
 #if defined(PLT_KERNELS_AVX512BF16)
     case IsaLevel::kAVX512BF16:
       return detail::gemm_bf16_vnni_avx512bf16;
@@ -90,8 +98,12 @@ BrgemmTPP::BrgemmTPP(BrgemmDesc desc) : desc_(desc) {
     f32_micro_ = pick_f32_micro();
   } else {
     bf16_micro_ = desc_.a_layout == ALayout::kVnni2
-                      ? pick_bf16_vnni_micro()
+                      ? pick_bf16_vnni_micro(desc_.m, desc_.k)
                       : detail::gemm_bf16_flat_ref;
+#if PLT_KERNELS_AVX512BF16 >= 2
+    if (bf16_micro_ == detail::gemm_bf16_vnni_amx)
+      amx_tiles_ = detail::amx_tiles(desc_.n, desc_.k);
+#endif
   }
   if (desc_.c == DType::BF16) {
     to_bf16_ = detail::f32_to_bf16_ref;
@@ -116,8 +128,8 @@ BrgemmTPP::BrgemmTPP(std::int64_t m, std::int64_t n, std::int64_t k,
 template <typename NextA, typename NextB>
 void BrgemmTPP::run_generic(NextA&& next_a, NextB&& next_b, void* c,
                             std::int64_t brcount) const {
-  detail::MicroArgs args{desc_.m, desc_.n, desc_.k,
-                         desc_.lda, desc_.ldb, desc_.ldc};
+  detail::MicroArgs args{desc_.m,   desc_.n,   desc_.k,   desc_.lda,
+                         desc_.ldb, desc_.ldc, &amx_tiles_};
   const bool c_is_bf16 = desc_.c == DType::BF16;
 
   if (brcount <= 0) {

@@ -7,7 +7,9 @@
 // address-based and offset-based. Every variant gathers the batch's A_i/B_i
 // addresses into pointer arrays (fixed-size stack chunks) and hands each
 // chunk to one microkernel call, which keeps its C register blocks in
-// registers across the chunk (see gemm_micro.hpp for the per-ISA blocks).
+// registers across the chunk (see gemm_micro.hpp for the per-ISA blocks;
+// on AMX hosts the bf16 VNNI2 shapes with m % 16 == 0 and even k run on
+// tiles, the rest on vdpbf16ps).
 // bf16 inputs accumulate in fp32; when C is stored in bf16 a per-thread fp32
 // scratch tile carries the accumulation across the whole batch, converted
 // from and to bf16 once per call with vector code that rounds exactly like
@@ -61,6 +63,7 @@ class BrgemmTPP {
   detail::Bf16Micro bf16_micro_ = nullptr;
   detail::ToBf16 to_bf16_ = nullptr;      // set when C is bf16
   detail::FromBf16 from_bf16_ = nullptr;
+  detail::AmxTiles amx_tiles_;            // set when bf16_micro_ is AMX
 };
 
 // Plain GEMM TPP: C = beta * C + A x B. Thin wrapper over a brcount=1

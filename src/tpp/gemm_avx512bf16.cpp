@@ -1,7 +1,7 @@
-// AVX-512-BF16 microkernel using the native vdpbf16ps dot-product — the
-// repo's x86 hardware bf16 contraction path. AMX tiles are detected
-// (CpuFeatures::amx_bf16) but no kernel targets them yet. Compiled with
-// -mavx512bf16; referenced only when CPUID reports the feature.
+// AVX-512-BF16 microkernel using the native vdpbf16ps dot-product. On AMX
+// hosts it takes the bf16 shapes the tile kernel does not (odd k, or
+// m % 16 != 0; gemm_amx.cpp). Compiled with -mavx512bf16; referenced only
+// when CPUID reports the feature.
 //
 // Register blocks of gemm_avx512_blocking.hpp (2 x 8 or 1 x 12 16-lane
 // accumulators), loaded once per call and kept in registers across the

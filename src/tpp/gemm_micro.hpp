@@ -18,12 +18,16 @@
 //     more than 16 rows remain, then 1 x 12; masked m tails, n tails of
 //     4, 2 and 1 (gemm_avx512_blocking.hpp)
 //   AVX2 fp32: 8-lane ymm x 4
+//   AMX bf16: 16 x 16 fp32 tiles of C^T, 2 x 2 while n and m allow
+//     (gemm_amx.cpp)
 //
 // Declarations are unconditional; definitions for the vector paths live in
 // per-ISA translation units compiled with the matching -m flags, and the
 // selector in brgemm.cpp only references them when the corresponding
 // PLT_KERNELS_* macro is on (the same macros gate cpu_features.cpp, so a
-// kernel is referenced iff it is compiled).
+// kernel is referenced iff it is compiled). The AVX512BF16 tier holds the
+// AMX kernel too when the compiler has the AMX flags; it then defines
+// PLT_KERNELS_AVX512BF16 as 2.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,21 @@
 
 namespace plt::tpp::detail {
 
+// AMX tile shapes of one BRGEMM shape, built once per BrgemmTPP by
+// amx_tiles(): the LDTILECFG operand of the 32-row n chunks, the one of the
+// last chunk when 32 does not divide n, and the k each tdpbf16ps reduces.
+struct AmxTiles {
+  struct Config {  // palette 1 layout
+    std::uint8_t palette = 1;
+    std::uint8_t start_row = 0;
+    std::uint8_t reserved[14] = {};
+    std::uint16_t colsb[16] = {};
+    std::uint8_t rows[16] = {};
+  };
+  Config full, tail;
+  std::int64_t kc = 0;
+};
+
 struct MicroArgs {
   std::int64_t m = 0;
   std::int64_t n = 0;
@@ -39,6 +58,7 @@ struct MicroArgs {
   std::int64_t lda = 0;
   std::int64_t ldb = 0;
   std::int64_t ldc = 0;
+  const AmxTiles* tiles = nullptr;  // read by the AMX kernel only
 };
 
 using F32Micro = void (*)(const MicroArgs&, const float* const* a,
@@ -69,6 +89,14 @@ void gemm_bf16_vnni_avx512(const MicroArgs&, const bf16* const*,
 // AVX-512 BF16 (vdpbf16ps).
 void gemm_bf16_vnni_avx512bf16(const MicroArgs&, const bf16* const*,
                                const bf16* const*, std::int64_t, float*, bool);
+
+// AMX (tdpbf16ps), VNNI2 A only. Takes the shapes amx_takes() accepts
+// (m % 16 == 0, even k); args.tiles must be amx_tiles(n, k). Leaves no
+// tile state configured (TILERELEASE before returning).
+bool amx_takes(std::int64_t m, std::int64_t k);
+AmxTiles amx_tiles(std::int64_t n, std::int64_t k);
+void gemm_bf16_vnni_amx(const MicroArgs&, const bf16* const*,
+                        const bf16* const*, std::int64_t, float*, bool);
 
 // fp32 <-> bf16 conversion of `count` contiguous elements for a bf16 C tile.
 // The narrowing rounds exactly like bf16::from_f32 (round-to-nearest-even by

@@ -43,12 +43,13 @@ std::vector<std::vector<std::int64_t>> blocking_choices(std::int64_t trip,
 std::vector<TuneCandidate> generate_gemm_candidates(
     const perfmodel::GemmModelProblem& p, const SpecGenOptions& opts) {
   const std::int64_t Kb = p.K / p.bk, Mb = p.M / p.bm, Nb = p.N / p.bn;
+  const std::int64_t k_step = resolve_k_step(p.k_step, Kb);
 
   std::vector<TuneCandidate> all;
   std::set<std::string> seen;
 
   for (int ta = 0; ta <= opts.max_blockings[0]; ++ta) {
-    const auto ka = blocking_choices(Kb / p.k_step, p.k_step, ta);
+    const auto ka = blocking_choices(Kb / k_step, k_step, ta);
     for (int tb = 0; tb <= opts.max_blockings[1]; ++tb) {
       const auto kb = blocking_choices(Mb, 1, tb);
       for (int tc = 0; tc <= opts.max_blockings[2]; ++tc) {

@@ -30,7 +30,7 @@ perfmodel::GemmModelProblem GemmTuner::model_problem() const {
   p.bm = base_.bm;
   p.bn = base_.bn;
   p.bk = base_.bk;
-  p.k_step = base_.k_step;
+  p.k_step = base_.resolved_k_step();
   p.bf16 = base_.dtype == DType::BF16;
   return p;
 }

@@ -344,6 +344,115 @@ TEST(BrgemmBatch, Bf16VnniBatchEqualsSuccessiveSingleCallsBitwise) {
       }
 }
 
+// ---------- AMX tiles (tdpbf16ps) ----------
+
+// Skips the calling test unless the ISA level reaches AMX (the kernel is
+// compiled, the CPU and OS support it and the OS granted tile data).
+#define SKIP_UNLESS_AMX()                                                  \
+  if (effective_isa() < IsaLevel::kAMXBF16)                                \
+  GTEST_SKIP() << "AMX level unavailable (effective ISA "                 \
+               << isa_name(effective_isa()) << ")"
+
+#if PLT_KERNELS_AVX512BF16 >= 2
+// One shape through the AMX kernel and the scalar VNNI reference, with
+// padded leading dimensions; a and b hold `count` blocks of a_blk / b_blk.
+void expect_amx_matches_ref(std::int64_t m, std::int64_t n, std::int64_t k,
+                            std::int64_t count, std::int64_t lda,
+                            std::int64_t ldb, std::int64_t ldc,
+                            std::int64_t a_blk, std::int64_t b_blk,
+                            const bf16* a, const bf16* b) {
+  const detail::AmxTiles tiles = detail::amx_tiles(n, k);
+  const detail::MicroArgs args{m, n, k, lda, ldb, ldc, &tiles};
+  std::vector<const bf16*> ap, bp;
+  for (std::int64_t i = 0; i < count; ++i) {
+    ap.push_back(a + i * a_blk);
+    bp.push_back(b + i * b_blk);
+  }
+  const auto c0 = random_vec(static_cast<std::size_t>(ldc * n), 52);
+  std::vector<float> want = c0, got = c0;
+  detail::gemm_bf16_vnni_ref(args, ap.data(), bp.data(), count, want.data(),
+                             true);
+  detail::gemm_bf16_vnni_amx(args, ap.data(), bp.data(), count, got.data(),
+                             true);
+  const std::string what = "amx m=" + std::to_string(m) + " n=" +
+                           std::to_string(n) + " k=" + std::to_string(k) +
+                           " count=" + std::to_string(count);
+  expect_allclose(got.data(), want.data(), got.size(), 1e-4f, what.c_str());
+}
+#endif
+
+TEST(GemmAmx, MatchesVnniRefOverShapesAndBatches) {
+  SKIP_UNLESS_AMX();
+#if PLT_KERNELS_AVX512BF16 >= 2
+  // Fixed padded strides large enough for every shape: lda 50 pairs,
+  // ldb 67, ldc 53; blocks of the largest k.
+  const std::int64_t lda = 50, ldb = 67, ldc = 53, max_k = 64, max_n = 33;
+  const std::int64_t a_blk = max_k / 2 * lda * 2, b_blk = ldb * max_n;
+  const std::int64_t max_count = 65;
+  const auto a = to_bf16(random_vec(static_cast<std::size_t>(a_blk * max_count), 50));
+  const auto b = to_bf16(random_vec(static_cast<std::size_t>(b_blk * max_count), 51));
+  for (std::int64_t m : {16, 32, 48})
+    for (std::int64_t n = 1; n <= max_n; ++n)
+      for (std::int64_t k = 2; k <= max_k; k += 2) {
+        ASSERT_TRUE(detail::amx_takes(m, k));
+        for (std::int64_t count : {1, 3})
+          expect_amx_matches_ref(m, n, k, count, lda, ldb, ldc, a_blk, b_blk,
+                                 a.data(), b.data());
+        // Past BrgemmTPP's 64-pair chunk; every k chunking (kc 2, 32, 22).
+        if (k == 2 || k == 44 || k == 64)
+          expect_amx_matches_ref(m, n, k, max_count, lda, ldb, ldc, a_blk,
+                                 b_blk, a.data(), b.data());
+      }
+  // Shapes AMX does not take stay on vdpbf16ps.
+  EXPECT_FALSE(detail::amx_takes(17, 32));
+  EXPECT_FALSE(detail::amx_takes(32, 31));
+#endif
+}
+
+TEST(GemmAmx, BatchEqualsSuccessiveSingleCallsBitwise) {
+  SKIP_UNLESS_AMX();
+#if PLT_KERNELS_AVX512BF16 >= 2
+  // The kernel itself, fp32 C: one brcount-B call vs B brcount-1 calls.
+  const std::int64_t m = 48, k = 64, count = 5;
+  const std::int64_t a_blk = vnni2_elems(m, k), b_blk = k * 33;
+  const auto a = to_bf16(random_vec(static_cast<std::size_t>(a_blk * count), 53));
+  const auto b = to_bf16(random_vec(static_cast<std::size_t>(b_blk * count), 54));
+  for (std::int64_t n : {1, 7, 16, 17, 32, 33}) {
+    const detail::AmxTiles tiles = detail::amx_tiles(n, k);
+    const detail::MicroArgs args{m, n, k, m, k, m, &tiles};
+    std::vector<const bf16*> ap, bp;
+    for (std::int64_t i = 0; i < count; ++i) {
+      ap.push_back(a.data() + i * a_blk);
+      bp.push_back(b.data() + i * b_blk);
+    }
+    std::vector<float> batch(static_cast<std::size_t>(m * n));
+    std::vector<float> singles(batch.size());
+    detail::gemm_bf16_vnni_amx(args, ap.data(), bp.data(), count,
+                               batch.data(), false);
+    for (std::int64_t i = 0; i < count; ++i)
+      detail::gemm_bf16_vnni_amx(args, &ap[static_cast<std::size_t>(i)],
+                                 &bp[static_cast<std::size_t>(i)], 1,
+                                 singles.data(), i > 0);
+    expect_bitwise(batch.data(), singles.data(), batch.size(),
+                   "amx n=" + std::to_string(n));
+  }
+  // Through BrgemmTPP, every address variant, batches within and past
+  // one pointer chunk.
+  for (std::int64_t mm : {16, 32, 48})
+    for (std::int64_t n : {1, 5, 16, 17, 33})
+      for (std::int64_t kk : {2, 32, 64})
+        for (std::int64_t cnt : {3, 65}) {
+          const std::int64_t blk_a = kk / 2 * (mm + 1) * 2;
+          const std::int64_t blk_b = (kk + 2) * n;
+          const auto av = to_bf16(random_vec(static_cast<std::size_t>(blk_a * cnt), 55));
+          const auto bv = to_bf16(random_vec(static_cast<std::size_t>(blk_b * cnt), 56));
+          expect_batch_equals_singles(mm, n, kk, cnt, 0.0f, DType::BF16,
+                                      ALayout::kVnni2, blk_a, av.data(),
+                                      bv.data());
+        }
+#endif
+}
+
 // ---------- vector fp32 <-> bf16 conversion of a bf16 C tile ----------
 
 std::vector<float> conversion_inputs() {

@@ -129,6 +129,11 @@ TEST(CpuFeatures, ConsistentIsaSelection) {
   if (isa >= IsaLevel::kAVX2) EXPECT_TRUE(f.avx2 && f.fma);
   if (isa >= IsaLevel::kAVX512) EXPECT_TRUE(f.avx512f);
   if (isa >= IsaLevel::kAVX512BF16) EXPECT_TRUE(f.avx512_bf16);
+  if (isa >= IsaLevel::kAMXBF16) {
+    EXPECT_TRUE(f.amx_tile && f.amx_bf16) << "AMX level without CPUID bits";
+    EXPECT_TRUE(f.amx_os) << "AMX level without XCR0 tile state";
+    EXPECT_TRUE(amx_permitted()) << "AMX level without the OS permission";
+  }
   EXPECT_GE(f.logical_cores, 1);
   EXPECT_STRNE(isa_name(isa), "?");
 }

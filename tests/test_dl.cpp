@@ -100,6 +100,51 @@ TEST(FcLayer, Bf16TracksF32) {
   }
 }
 
+// A spec that parallelizes the K loop (`ACb`: a is K) leaves each member
+// one K iteration, since the layer reduces all of K in one BRGEMM call; no
+// two members write one output tile, so repeated forwards are bitwise equal.
+TEST(FcLayer, ParallelKSpecForwardIsDeterministic) {
+  Xoshiro256 rng(21);
+  FcConfig c;
+  c.in_features = 1024;
+  c.out_features = 256;
+  c.tokens = 64;
+  c.loop_spec = "ACb";
+  FcLayer fc(c, rng);
+  const auto in = random_vec(static_cast<std::size_t>(c.tokens * c.in_features), 22);
+  std::vector<float> first(static_cast<std::size_t>(c.tokens * c.out_features));
+  std::vector<float> again(first.size());
+  fc.forward(in.data(), first.data());
+  for (int rep = 0; rep < 20; ++rep) {
+    fc.forward(in.data(), again.data());
+    plt::test::expect_bitwise(again.data(), first.data(), first.size(),
+                              "forward " + std::to_string(rep + 1));
+  }
+}
+
+// The BRGEMM kernel is chosen by (m, k) and the ISA, never by the token
+// count, so a token's bf16 outputs do not depend on how many tokens share
+// the call (ctest also runs this under PLT_ISA=avx512_bf16).
+TEST(FcLayer, Bf16StackedTokensEqualSingleTokensBitwise) {
+  Xoshiro256 rng(23);
+  FcConfig c;
+  c.in_features = 128;
+  c.out_features = 96;
+  c.tokens = 64;
+  c.dtype = DType::BF16;
+  c.act = FcActivation::kGelu;
+  FcLayer fc(c, rng);
+  const auto in = random_vec(static_cast<std::size_t>(c.tokens * c.in_features), 24);
+  std::vector<float> stacked(static_cast<std::size_t>(c.tokens * c.out_features));
+  fc.forward(in.data(), stacked.data());
+  std::vector<float> one(static_cast<std::size_t>(c.out_features));
+  for (std::int64_t s = 0; s < c.tokens; ++s) {
+    fc.forward_tokens(in.data() + s * c.in_features, 1, one.data());
+    plt::test::expect_bitwise(one.data(), stacked.data() + s * c.out_features,
+                              one.size(), "token " + std::to_string(s));
+  }
+}
+
 TEST(FcLayer, BackwardGradInMatchesFiniteDifference) {
   Xoshiro256 rng(7);
   const std::int64_t in_f = 16, out_f = 8, S = 8;

@@ -16,6 +16,7 @@ perfmodel::GemmModelProblem small_problem() {
   p.N = 128;
   p.K = 128;
   p.bm = p.bn = p.bk = 32;  // 4 blocks per dim
+  p.k_step = 1;  // one K block per call, so K blockings are candidates too
   return p;
 }
 
@@ -72,6 +73,7 @@ TEST(GemmTuner, RunsAndRanksCandidates) {
   kernels::GemmConfig base;
   base.M = base.N = base.K = 128;
   base.bm = base.bn = base.bk = 32;
+  base.k_step = 1;  // as small_problem(): its candidates block K
   SpecGenOptions gopts;
   gopts.max_candidates = 6;
   const auto cands = generate_gemm_candidates(small_problem(), gopts);
@@ -95,6 +97,7 @@ TEST(GemmTuner, ModelTopKReducesBenchmarkedSet) {
   kernels::GemmConfig base;
   base.M = base.N = base.K = 128;
   base.bm = base.bn = base.bk = 32;
+  base.k_step = 1;  // as small_problem(): its candidates block K
   SpecGenOptions gopts;
   gopts.max_candidates = 12;
   const auto cands = generate_gemm_candidates(small_problem(), gopts);
