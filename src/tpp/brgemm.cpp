@@ -60,16 +60,31 @@ float* scratch_tile(std::size_t elems) {
   return buf.data();
 }
 
+constexpr std::int64_t kMaxChunk = 64;
+
+// The fp32 walk re-reads every A block of its batch once per register block
+// of C columns, so an fp32 chunk holds only as many A blocks as fit in
+// 16 KB, a third of a 48 KB L1 (4 blocks of 32x32): a longer one streams
+// them from L2.
+// Chunking is bitwise neutral, since C leaves and re-enters the registers in
+// fp32 and the (batch index, k) order is kept.
+std::int64_t f32_chunk(std::int64_t m, std::int64_t k) {
+  constexpr std::int64_t kL1Bytes = 16 * 1024;
+  const std::int64_t a_block = m * k * static_cast<std::int64_t>(sizeof(float));
+  return std::clamp<std::int64_t>(kL1Bytes / a_block, 1, kMaxChunk);
+}
+
 // Hands the batch to the microkernel as pointer arrays, in stack chunks of
-// kChunk pairs; every chunk after the first accumulates onto the previous.
+// `chunk` <= kMaxChunk pairs; every chunk after the first accumulates onto
+// the previous.
 template <typename T, typename Micro, typename NextA, typename NextB>
 void reduce_batch(Micro micro, const detail::MicroArgs& args, NextA& next_a,
-                  NextB& next_b, std::int64_t brcount, float* c, bool acc) {
-  constexpr std::int64_t kChunk = 64;
-  const T* a[kChunk];
-  const T* b[kChunk];
-  for (std::int64_t i0 = 0; i0 < brcount; i0 += kChunk) {
-    const std::int64_t count = std::min(kChunk, brcount - i0);
+                  NextB& next_b, std::int64_t brcount, std::int64_t chunk,
+                  float* c, bool acc) {
+  const T* a[kMaxChunk];
+  const T* b[kMaxChunk];
+  for (std::int64_t i0 = 0; i0 < brcount; i0 += chunk) {
+    const std::int64_t count = std::min(chunk, brcount - i0);
     for (std::int64_t i = 0; i < count; ++i) {
       a[i] = static_cast<const T*>(next_a(i0 + i));
       b[i] = static_cast<const T*>(next_b(i0 + i));
@@ -96,6 +111,7 @@ BrgemmTPP::BrgemmTPP(BrgemmDesc desc) : desc_(desc) {
     PLT_CHECK(desc_.a_layout == ALayout::kFlat,
               "brgemm: VNNI layout is a low-precision feature");
     f32_micro_ = pick_f32_micro();
+    chunk_ = f32_chunk(desc_.m, desc_.k);
   } else {
     bf16_micro_ = desc_.a_layout == ALayout::kVnni2
                       ? pick_bf16_vnni_micro(desc_.m, desc_.k)
@@ -164,11 +180,11 @@ void BrgemmTPP::run_generic(NextA&& next_a, NextB&& next_b, void* c,
   // only pre-seeded when beta==1, so the same rule applies to it).
   const bool acc = desc_.beta == 1.0f;
   if (f32_micro_ != nullptr) {
-    reduce_batch<float>(f32_micro_, args, next_a, next_b, brcount, cacc,
-                        acc);
+    reduce_batch<float>(f32_micro_, args, next_a, next_b, brcount, chunk_,
+                        cacc, acc);
   } else {
-    reduce_batch<bf16>(bf16_micro_, args, next_a, next_b, brcount, cacc,
-                       acc);
+    reduce_batch<bf16>(bf16_micro_, args, next_a, next_b, brcount, chunk_,
+                       cacc, acc);
   }
 
   if (c_is_bf16) {

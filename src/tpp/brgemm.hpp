@@ -5,9 +5,10 @@
 //
 // with the three address-generation variants of the paper: stride-based,
 // address-based and offset-based. Every variant gathers the batch's A_i/B_i
-// addresses into pointer arrays (fixed-size stack chunks) and hands each
-// chunk to one microkernel call, which keeps its C register blocks in
-// registers across the chunk (see gemm_micro.hpp for the per-ISA blocks;
+// addresses into pointer arrays (stack chunks) and hands each chunk to one
+// microkernel call, which keeps its C register blocks in registers across
+// the chunk (64 blocks; for fp32 as many A blocks as fit in 16 KB; see
+// gemm_micro.hpp for the per-ISA blocks;
 // on AMX hosts the bf16 VNNI2 shapes with m % 16 == 0 and even k run on
 // tiles, the rest on vdpbf16ps).
 // bf16 inputs accumulate in fp32; when C is stored in bf16 a per-thread fp32
@@ -64,6 +65,7 @@ class BrgemmTPP {
   detail::ToBf16 to_bf16_ = nullptr;      // set when C is bf16
   detail::FromBf16 from_bf16_ = nullptr;
   detail::AmxTiles amx_tiles_;            // set when bf16_micro_ is AMX
+  std::int64_t chunk_ = 64;               // batch blocks per microkernel call
 };
 
 // Plain GEMM TPP: C = beta * C + A x B. Thin wrapper over a brcount=1

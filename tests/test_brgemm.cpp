@@ -318,14 +318,19 @@ TEST(BrgemmBatch, F32BatchEqualsSuccessiveSingleCallsBitwise) {
 }
 
 TEST(BrgemmBatch, F32BatchLongerThanOneChunk) {
-  // BrgemmTPP hands the batch over in fixed-size pointer chunks; a batch of
-  // 150 spans three of them.
-  const std::int64_t m = 33, n = 13, k = 5, count = 150;
-  const std::int64_t a_blk = (m + 1) * k, b_blk = (k + 2) * n;
-  const auto a = random_vec(static_cast<std::size_t>(a_blk * count), 44);
-  const auto b = random_vec(static_cast<std::size_t>(b_blk * count), 45);
-  expect_batch_equals_singles(m, n, k, count, 0.0f, DType::F32, ALayout::kFlat,
-                              a_blk, a.data(), b.data());
+  // BrgemmTPP hands an fp32 batch over in chunks of as many A blocks as fit
+  // in 16 KB (at most 64): 24 blocks of 33x5, so 150 spans seven chunks, and
+  // 4 blocks of 32x32, so 9 spans three with a tail of one.
+  struct Case {
+    std::int64_t m, n, k, count;
+  };
+  for (const Case& t : {Case{33, 13, 5, 150}, Case{32, 32, 32, 9}}) {
+    const std::int64_t a_blk = (t.m + 1) * t.k, b_blk = (t.k + 2) * t.n;
+    const auto a = random_vec(static_cast<std::size_t>(a_blk * t.count), 44);
+    const auto b = random_vec(static_cast<std::size_t>(b_blk * t.count), 45);
+    expect_batch_equals_singles(t.m, t.n, t.k, t.count, 0.0f, DType::F32,
+                                ALayout::kFlat, a_blk, a.data(), b.data());
+  }
 }
 
 TEST(BrgemmBatch, Bf16VnniBatchEqualsSuccessiveSingleCallsBitwise) {

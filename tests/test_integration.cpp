@@ -26,6 +26,7 @@ TEST_P(GeneratedSpecFuzz, EveryGeneratedSpecCoversIterationSpaceOnce) {
   perfmodel::GemmModelProblem p;
   p.M = p.N = p.K = 192;  // trips of 6 => rich prime factorization {2, 3}
   p.bm = p.bn = p.bk = 32;
+  p.k_step = 1;  // one K block per call, so K blockings are candidates too
   tuner::SpecGenOptions opts;
   opts.max_candidates = 12;
   opts.include_serial = true;

@@ -67,6 +67,7 @@ GemmModelProblem square(std::int64_t n) {
   GemmModelProblem p;
   p.M = p.N = p.K = n;
   p.bm = p.bn = p.bk = 32;
+  p.k_step = 1;  // one K block per call: "abc" streams C on every K step
   return p;
 }
 
